@@ -19,12 +19,14 @@ import (
 	"time"
 
 	"repro/internal/dynamics"
+	"repro/internal/engine"
 	sweepenv "repro/internal/env"
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
 	"repro/internal/problems"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -245,6 +247,42 @@ func BenchmarkSimPairwiseDelta1e5(b *testing.B) {
 	w := sweep.NewWorker()
 	defer w.Close()
 	benchWarmPairwiseCell(b, w, Ring(100_000), 64)
+}
+
+// BenchmarkSimPairwiseQuiescent1e5 is the O(changes) guard for a round
+// in which nothing changes: pairwise Min started at consensus on
+// Ring(100_000) under churn 0.999, 64 rounds per op on a warm scratch
+// with 4 state shards (fixed, so allocs/op does not depend on the host's
+// GOMAXPROCS). Every pair step is a stutter,
+// so nothing is staged, no shard is flushed, and the monitor re-issues
+// its cached verdict; what remains per round is the matching and the
+// pair steps themselves. scripts/check_alloc_budget.sh pins allocs/op:
+// a round that re-pays any per-round buffer adds 64 and fails.
+func BenchmarkSimPairwiseQuiescent1e5(b *testing.B) {
+	const rounds = 64
+	g := Ring(100_000)
+	initial := make([]int, g.N())
+	for i := range initial {
+		initial[i] = 42
+	}
+	rc := engine.NewRunContext(0)
+	defer rc.Close()
+	sc := sim.NewScratch[int](rc)
+	opts := Options{Seed: 1, MaxRounds: rounds, Mode: PairwiseMode, Shards: 4}
+	run := func() {
+		res, err := sim.RunWith(sc, problems.NewMin(), EdgeChurn(g, 0.999), initial, opts)
+		if err != nil || res.Rounds != rounds || res.GroupSteps != 0 || len(res.Violations) != 0 {
+			b.Fatalf("quiescent run failed: %v (rounds=%d steps=%d)", err, res.Rounds, res.GroupSteps)
+		}
+	}
+	run() // warm the engine scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(rounds, "rounds/op")
 }
 
 // BenchmarkSimRoundProbed is the probes-ON twin of the round-scale

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,7 +12,7 @@ import (
 // goodAxes is a known-valid flag set buildAxes must accept.
 func goodAxes() (string, string, string, string, string, string) {
 	return "churn:0.9,static", "min,gcd", "ring,hypercube", "16,32",
-		"none,partition:2:1:40,crashes:0.02:20,burst:0.5:0:10,flap:2:1:20,partitioncycle:2:5:5,join:4:ring:10,amnesiacflap:2:1:20",
+		"none,partition:2:1:40,crashes:0.02:20,burst:0.5:0:10,flap:2:1:20,partitioncycle:2:5:5,join:4:pref:10,amnesiacflap:2:1:20",
 		"component,pairwise"
 }
 
@@ -174,5 +176,37 @@ func TestOpenTraceFileRejectsUnwritablePath(t *testing.T) {
 	}
 	if _, err := os.Stat(good); err != nil {
 		t.Fatalf("trace file not created: %v", err)
+	}
+}
+
+// TestJoinRingOnTorusExitsNonZero runs the command itself (this test
+// binary re-executed with SWEEP_MAIN_ARGS set) on a join:K:ring schedule
+// over a torus: the grid must be rejected up front — exit status 1 and
+// an error naming the dynamics and the topology — where the cell used
+// to panic mid-run on the missing closing edge.
+func TestJoinRingOnTorusExitsNonZero(t *testing.T) {
+	if args := os.Getenv("SWEEP_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestJoinRingOnTorusExitsNonZero$")
+	cmd.Env = append(os.Environ(),
+		"SWEEP_MAIN_ARGS=-envs static -problems min -topos torus -sizes 64 -dynamics join:4:ring:8")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("sweep exited with %v, want exit status 1; stderr:\n%s", err, stderr.String())
+	}
+	msg := stderr.String()
+	for _, want := range []string{"join:4:ring:8", "torus", "no live closing edge"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("stderr %q does not name %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "panic") {
+		t.Errorf("sweep panicked instead of rejecting the grid:\n%s", msg)
 	}
 }

@@ -170,6 +170,19 @@ func (s *Schedule) LastJoinRound() int {
 	return last
 }
 
+// JoinsVia reports whether any of the schedule's Join rules attaches by
+// the named family (see JoinTopos) — grids use it to reject a family the
+// topology cannot take before any cell runs.
+func (s *Schedule) JoinsVia(topo string) bool {
+	s.check()
+	for i := range s.rules {
+		if s.rules[i].kind == ruleJoin && s.rules[i].joinTopo == topo {
+			return true
+		}
+	}
+	return false
+}
+
 // Amnesiac reports whether the schedule carries the AmnesiacRejoin
 // policy flag: recoveries re-enter with their initial state.
 func (s *Schedule) Amnesiac() bool {

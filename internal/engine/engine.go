@@ -57,6 +57,12 @@ type Monitor[T any] struct {
 	partials    []ms.Multiset[T]
 	partialBufs [][]T
 	partialMrg  *ms.Merger[T]
+	// Verdict cache (see Repeat): whether the last judged state satisfied
+	// the conservation law, and the state generation that verdict is
+	// stamped with (valid only while stamped is set).
+	conserved  bool
+	stamped    bool
+	verdictGen uint64
 }
 
 // NewMonitor builds a Monitor for problem p from the initial state
@@ -81,6 +87,7 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float
 	m.lastH = m.h.Value(initial)
 	m.violations = nil
 	m.partialMrg = nil // f (and hence cmp) may have changed with the problem
+	m.stamped = false
 }
 
 // Target returns the goal multiset S* = f(S(0)).
@@ -103,9 +110,9 @@ func (m *Monitor[T]) ObserveRound(round int, now ms.Multiset[T]) float64 {
 // one copy, so the sharded and unsharded monitors cannot drift apart in
 // message format or slack handling.
 func (m *Monitor[T]) judge(round int, fx, global ms.Multiset[T]) float64 {
-	if !m.equal(fx, m.target) {
-		m.violations = append(m.violations,
-			fmt.Sprintf("round %d: conservation law violated: f(S) ≠ S*", round))
+	m.stamped = false
+	if m.conserved = m.equal(fx, m.target); !m.conserved {
+		m.conservationViolated(round)
 	}
 	nowH := m.h.Value(global)
 	if nowH > m.lastH+m.hEps {
@@ -114,6 +121,40 @@ func (m *Monitor[T]) judge(round int, fx, global ms.Multiset[T]) float64 {
 	}
 	m.lastH = nowH
 	return nowH
+}
+
+// conservationViolated records a round's conservation-law violation; the
+// full and the repeated verdict share it so their messages cannot drift.
+func (m *Monitor[T]) conservationViolated(round int) {
+	m.violations = append(m.violations,
+		fmt.Sprintf("round %d: conservation law violated: f(S) ≠ S*", round))
+}
+
+// Stamp marks the verdict of the round just observed as the verdict of
+// state generation gen (multiset.Tracker.Gen or Shards.Gen, read after
+// the round's deltas were applied), so Repeat may re-issue it while the
+// generation stands still.
+func (m *Monitor[T]) Stamp(gen uint64) { m.stamped, m.verdictGen = true, gen }
+
+// Repeat re-issues the last verdict for round when the state generation
+// is still the stamped gen, and reports false (issuing nothing) when the
+// caller must observe the round in full. An unchanged generation means
+// the global multiset S is the one last judged, and every verdict is a
+// function of S, the target and the variant baseline: f(S) = S* gets the
+// same answer — a standing conservation violation is recorded again,
+// under the new round number, exactly as a full observation would — and
+// h(S) equals the baseline it set, so it neither descends nor increases.
+// The returned h is that baseline. The stamp is dropped by Reset,
+// AdmitJoin and RebaseVariant (they move the target or the baseline) and
+// by every full observation until it is stamped again.
+func (m *Monitor[T]) Repeat(round int, gen uint64) (float64, bool) {
+	if !m.stamped || gen != m.verdictGen {
+		return 0, false
+	}
+	if !m.conserved {
+		m.conservationViolated(round)
+	}
+	return m.lastH, true
 }
 
 // ObserveQuiescence checks the conservation law and the net variant
@@ -143,6 +184,7 @@ func (m *Monitor[T]) ObserveQuiescence(final ms.Multiset[T]) {
 // NOT touched here; callers rebase it (RebaseVariant) after the join is
 // applied to the state, since new input may legitimately raise h.
 func (m *Monitor[T]) AdmitJoin(joined []T) {
+	m.stamped = false
 	if len(joined) == 0 {
 		return
 	}
@@ -156,7 +198,10 @@ func (m *Monitor[T]) AdmitJoin(joined []T) {
 // taking an illegal step; callers invoke this at such rounds so the
 // descent check resumes from the post-discontinuity value instead of
 // reporting the jump as a violation.
-func (m *Monitor[T]) RebaseVariant(now ms.Multiset[T]) { m.lastH = m.h.Value(now) }
+func (m *Monitor[T]) RebaseVariant(now ms.Multiset[T]) {
+	m.lastH = m.h.Value(now)
+	m.stamped = false
+}
 
 // CheckFrozen verifies the dynamics layer's frozen-state contract: a
 // crashed agent "executes no actions and does not change state", so for

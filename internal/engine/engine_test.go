@@ -11,27 +11,86 @@ import (
 	"repro/internal/problems"
 )
 
+// TestPoolCoversEveryIndexExactlyOnce: workers claim contiguous chunks
+// of chunkSize(n, workers) indices, so the batch sizes around a chunk
+// boundary — the last single-item-claim size, one either side, a size
+// whose final claim is partial — and a large batch must each run every
+// index exactly once, on every pool size, batch after batch on one pool.
 func TestPoolCoversEveryIndexExactlyOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	p := NewPool(4, 1)
-	defer p.Close()
-	const n = 1000
-	var hits [n]atomic.Int32
-	for batch := 0; batch < 10; batch++ {
-		for i := range hits {
-			hits[i].Store(0)
+	for size := 1; size <= 4; size++ {
+		edge := size * claimsPerWorker // largest n claimed one index at a time
+		if chunkSize(edge, size) != 1 || chunkSize(edge+1, size) != 2 {
+			t.Fatalf("size %d: chunk boundary moved: chunkSize(%d)=%d, chunkSize(%d)=%d",
+				size, edge, chunkSize(edge, size), edge+1, chunkSize(edge+1, size))
 		}
-		p.Do(n, func(worker, i int) {
-			if worker < 0 || worker >= p.Size() {
-				t.Errorf("worker %d out of range [0,%d)", worker, p.Size())
+		p := NewPool(size, 1)
+		for _, n := range []int{1, edge - 1, edge, edge + 1, 2*edge + 1, 50_000} {
+			hits := make([]atomic.Int32, n)
+			p.Do(n, func(worker, i int) {
+				if worker < 0 || worker >= size {
+					t.Errorf("size %d: worker %d out of range", size, worker)
+				}
+				hits[i].Add(1)
+			})
+			for i := range hits {
+				if got := hits[i].Load(); got != 1 {
+					t.Fatalf("size %d, n %d: index %d executed %d times, want 1", size, n, i, got)
+				}
 			}
-			hits[i].Add(1)
+		}
+		p.Close()
+	}
+}
+
+// TestPoolChunkedPanicLeavesPoolReusable: a caller-side callback that
+// panics in the middle of a multi-item claim abandons the rest of that
+// chunk, but the workers still finish the batch before the panic
+// propagates, the slot grant comes back exactly, and the pool runs the
+// next batch in full.
+func TestPoolChunkedPanicLeavesPoolReusable(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	pool := NewPool(4, 1)
+	defer pool.Close()
+	const n = 10_000
+	if chunkSize(n, 4) < 2 {
+		t.Fatalf("chunkSize(%d, 4) = %d: batch too small to panic mid-chunk", n, chunkSize(n, 4))
+	}
+	// Workers hold their first item until the caller has run one, so the
+	// caller is guaranteed a chunk to panic in however the claims race.
+	callerStarted := make(chan struct{})
+	callerItems := 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected the callback panic to propagate")
+			}
+		}()
+		pool.Do(n, func(worker, i int) {
+			if worker != 0 {
+				<-callerStarted
+				return
+			}
+			if callerItems++; callerItems == 1 {
+				close(callerStarted)
+				return
+			}
+			panic("caller-side callback failure") // second item of the caller's first chunk
 		})
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("batch %d: index %d executed %d times, want 1", batch, i, got)
-			}
+	}()
+	budget := runtime.GOMAXPROCS(0) - 1
+	if g := AcquireSlots(budget); g != budget {
+		t.Fatalf("budget leaked by panic path: acquired %d of %d", g, budget)
+	} else {
+		ReleaseSlots(g)
+	}
+	hits := make([]atomic.Int32, n)
+	pool.Do(n, func(_, i int) { hits[i].Add(1) })
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("post-panic batch: index %d executed %d times, want 1", i, got)
 		}
 	}
 }
@@ -106,6 +165,44 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	}
 	if !strings.Contains(v[1], "round 0: variant increased") {
 		t.Errorf("variant message = %q", v[1])
+	}
+}
+
+// TestMonitorRepeatVerdict pins the verdict cache's contract at the
+// monitor: a stamped verdict is re-issued only for its own generation,
+// re-records a standing conservation violation under the new round, and
+// is dropped by every call that moves the target or the variant baseline.
+func TestMonitorRepeatVerdict(t *testing.T) {
+	p := problems.NewMin()
+	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+	if _, ok := m.Repeat(0, 0); ok {
+		t.Fatal("fresh monitor repeated a verdict it never issued")
+	}
+	h := m.ObserveRound(0, ms.OfInts(5, 5, 5)) // conservation violated
+	m.Stamp(7)
+	if _, ok := m.Repeat(1, 8); ok {
+		t.Fatal("repeated a verdict for another generation")
+	}
+	before := len(m.Violations())
+	got, ok := m.Repeat(1, 7)
+	if !ok || got != h {
+		t.Fatalf("Repeat(1, 7) = %g, %v; want %g, true", got, ok, h)
+	}
+	v := m.Violations()
+	if len(v) != before+1 || v[len(v)-1] != "round 1: conservation law violated: f(S) ≠ S*" {
+		t.Fatalf("standing violation not re-issued for round 1: %q", v)
+	}
+	for name, drop := range map[string]func(){
+		"ObserveRound":  func() { m.ObserveRound(2, ms.OfInts(5, 5, 5)) },
+		"AdmitJoin":     func() { m.AdmitJoin([]int{4}) },
+		"RebaseVariant": func() { m.RebaseVariant(ms.OfInts(5, 5, 5)) },
+		"Reset":         func() { m.Reset(p, ms.OfInts(3, 1, 2), 0) },
+	} {
+		m.Stamp(7)
+		drop()
+		if _, ok := m.Repeat(3, 7); ok {
+			t.Errorf("%s left the stamp in place", name)
+		}
 	}
 }
 

@@ -37,6 +37,8 @@ type Shards[T any] struct {
 	views  []ms.Multiset[T]
 	merger *ms.Merger[T]
 	probe  *obs.Probe
+	// gen counts the mutations of the tracked multisets (see Gen).
+	gen uint64
 }
 
 // SetProbe attaches (or, with nil, detaches) an observability probe
@@ -100,6 +102,7 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 	if bs < 1 {
 		bs = 1
 	}
+	s.gen++
 	s.cmp = cmp
 	s.blockSize = bs
 	if len(s.trackers) != p {
@@ -156,8 +159,16 @@ func (s *Shards[T]) Append(vals []T) {
 	if len(vals) == 0 {
 		return
 	}
+	s.gen++
 	s.trackers[len(s.trackers)-1].Append(vals)
 }
+
+// Gen returns the snapshot's generation: a counter bumped by every Reset,
+// every non-empty Append and every Flush that had deltas staged. Equal
+// readings bracket no change to any shard, so View (and every reduction
+// of it) is unchanged between them — multiset.Tracker.Gen's contract
+// lifted to the sharded layout.
+func (s *Shards[T]) Gen() uint64 { return s.gen }
 
 // Stage records that the given agent's state changed old → new this
 // round. The delta is routed to the owning shard and applied at the next
@@ -173,16 +184,21 @@ func (s *Shards[T]) Stage(agent int, oldV, newV T) {
 // Flush repairs every shard's tracker from its staged deltas and clears
 // the staging buffers. The per-shard repairs are independent (disjoint
 // trackers, disjoint staging), so they fan out across the pool; results
-// do not depend on scheduling.
+// do not depend on scheduling. With nothing staged — a round of stutter
+// steps — it returns without waking the pool or bumping Gen.
 func (s *Shards[T]) Flush(pool *Pool) {
+	staged := 0
+	for i := range s.olds {
+		staged += len(s.olds[i])
+	}
 	if s.probe != nil {
-		staged := 0
-		for i := range s.olds {
-			staged += len(s.olds[i])
-		}
 		s.probe.Add(obs.CounterShardFlushes, 1)
 		s.probe.Add(obs.CounterStagedDeltas, int64(staged))
 	}
+	if staged == 0 {
+		return
+	}
+	s.gen++
 	pool.DoAll(len(s.trackers), func(_, i int) {
 		s.trackers[i].Replace(s.olds[i], s.news[i])
 		s.olds[i] = s.olds[i][:0]

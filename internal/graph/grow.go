@@ -120,12 +120,9 @@ func (g *Graph) SpliceRing(k int) (Growth, error) {
 	if k < 1 {
 		return Growth{}, fmt.Errorf("graph: SpliceRing count %d (need ≥ 1)", k)
 	}
-	if g.n < 3 {
-		return Growth{}, fmt.Errorf("graph: SpliceRing on %d vertices (need ≥ 3)", g.n)
-	}
-	closing, ok := g.EdgeID(0, g.n-1)
-	if !ok {
-		return Growth{}, fmt.Errorf("graph: SpliceRing: no live closing edge {0,%d} — not a ring", g.n-1)
+	closing, err := g.ringClosingEdge()
+	if err != nil {
+		return Growth{}, err
 	}
 	oldN := g.n
 	gr := Growth{FirstAgent: oldN, NewAgents: k}
@@ -140,6 +137,28 @@ func (g *Graph) SpliceRing(k int) (Growth, error) {
 	gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(0, prev))
 	g.finishGrow(&gr)
 	return gr, nil
+}
+
+// CanSpliceRing reports, as an error naming the missing piece, whether
+// SpliceRing would accept the graph: N ≥ 3 and a live closing edge
+// {0, N-1}. Callers that schedule a ring join ahead of time check it
+// up front instead of failing mid-run.
+func (g *Graph) CanSpliceRing() error {
+	_, err := g.ringClosingEdge()
+	return err
+}
+
+// ringClosingEdge returns the id of the live closing edge {0, N-1}
+// SpliceRing retires, or why there is none.
+func (g *Graph) ringClosingEdge() (int, error) {
+	if g.n < 3 {
+		return 0, fmt.Errorf("graph: SpliceRing on %d vertices (need ≥ 3)", g.n)
+	}
+	closing, ok := g.EdgeID(0, g.n-1)
+	if !ok {
+		return 0, fmt.Errorf("graph: SpliceRing: no live closing edge {0,%d} — not a ring", g.n-1)
+	}
+	return closing, nil
 }
 
 // GrowHypercube appends k agents with hypercube dimension-fill wiring:

@@ -284,6 +284,8 @@ type Tracker[T any] struct {
 	oldBuf, newBuf []T
 	remIdx, insPos []int
 	mergeBuf       []T
+	// gen counts the mutations of elems (see Gen).
+	gen uint64
 }
 
 // NewTracker builds a Tracker over a copy of the given population.
@@ -301,6 +303,7 @@ func NewTracker[T any](cmp Cmp[T], elems []T) *Tracker[T] {
 // next (the scenario-sweep warm-engine contract) is observationally a
 // new one. Any views of the previous population are invalidated.
 func (t *Tracker[T]) Reset(cmp Cmp[T], elems []T) {
+	t.gen++
 	t.cmp = cmp
 	t.elems = append(t.elems[:0], elems...)
 	slices.SortStableFunc(t.elems, cmp)
@@ -308,6 +311,15 @@ func (t *Tracker[T]) Reset(cmp Cmp[T], elems []T) {
 
 // Len reports the tracked population size.
 func (t *Tracker[T]) Len() int { return len(t.elems) }
+
+// Gen returns the tracker's generation: a counter bumped by every Reset
+// and every non-empty Replace (hence every non-empty Append). Two equal
+// readings bracket no mutation, so a verdict computed on the view at one
+// reading still describes the view at the other — the license the round
+// loop's cached monitor verdict relies on. A non-empty Replace bumps it
+// even when the multiset comes out unchanged; that costs a recomputation,
+// never a stale verdict.
+func (t *Tracker[T]) Gen() uint64 { return t.gen }
 
 // View returns the current multiset as a zero-copy view. The view is
 // invalidated by the next Replace; callers that retain it across mutations
@@ -323,6 +335,7 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 	if len(olds) == 0 && len(news) == 0 {
 		return
 	}
+	t.gen++
 	t.oldBuf = append(t.oldBuf[:0], olds...)
 	t.newBuf = append(t.newBuf[:0], news...)
 	slices.SortFunc(t.oldBuf, t.cmp)

@@ -77,3 +77,30 @@ func TestViewAliasesWithoutCopy(t *testing.T) {
 		t.Fatal("View copied its input; it must alias")
 	}
 }
+
+// TestTrackerGen pins the generation contract the cached monitor verdict
+// relies on: every Reset, non-empty Replace and non-empty Append bumps
+// Gen; an empty Replace changes nothing and leaves it alone.
+func TestTrackerGen(t *testing.T) {
+	cmp := OrderedCmp[int]()
+	tr := NewTracker(cmp, []int{3, 1, 2})
+	g := tr.Gen()
+	step := func(what string, mutate func(), bump bool) {
+		t.Helper()
+		mutate()
+		switch got := tr.Gen(); {
+		case bump && got == g:
+			t.Fatalf("%s did not bump Gen (still %d)", what, got)
+		case !bump && got != g:
+			t.Fatalf("%s bumped Gen %d → %d", what, g, got)
+		}
+		g = tr.Gen()
+	}
+	step("Replace(nil, nil)", func() { tr.Replace(nil, nil) }, false)
+	step("Replace({}, {})", func() { tr.Replace([]int{}, []int{}) }, false)
+	step("Replace", func() { tr.Replace([]int{1}, []int{5}) }, true)
+	step("value-preserving Replace", func() { tr.Replace([]int{5}, []int{5}) }, true)
+	step("Append", func() { tr.Append([]int{7}) }, true)
+	step("Append(nil)", func() { tr.Append(nil) }, false)
+	step("Reset", func() { tr.Reset(cmp, []int{4}) }, true)
+}

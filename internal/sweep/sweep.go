@@ -236,6 +236,11 @@ func (a Axes) Grid() (*Grid, error) {
 						// against the cell's actual graph so partition cuts
 						// and agent ids resolve correctly.
 						sched := dyn.New(graphs[k])
+						if sched != nil && sched.JoinsVia("ring") {
+							if err := graphs[k].CanSpliceRing(); err != nil {
+								return nil, fmt.Errorf("sweep: dynamics %s attaches joiners to a ring, which topology %s at size %d is not: %w", dyn.Name, topo.Name, n, err)
+							}
+						}
 						for _, mode := range modes {
 							for rep := 0; rep < seeds; rep++ {
 								g.Cells = append(g.Cells, Cell{

@@ -281,6 +281,46 @@ func TestAxesValidation(t *testing.T) {
 	}
 }
 
+// TestGridRejectsRingJoinOnNonRing: a join:K:ring schedule splices the
+// joiners into the closing edge {0, N-1}, so grid expansion must refuse
+// every topology that lacks one — naming the dynamics and the topology —
+// instead of letting the cell panic mid-run. Topologies that have the
+// edge (ring, and complete, where it is one edge among many) expand.
+func TestGridRejectsRingJoinOnNonRing(t *testing.T) {
+	join := dynamics.JoinDesc(4, "ring", 8)
+	for _, tc := range []struct {
+		topo Topo
+		size int
+		ok   bool
+	}{
+		{RingTopo(), 16, true},
+		{CompleteTopo(), 8, true},
+		{TorusTopo(), 64, false},
+		{LineTopo(), 16, false},
+		{HypercubeTopo(), 2, false}, // N < 3: no ring to splice into
+	} {
+		a := quickAxes()
+		a.Topos, a.Sizes = []Topo{tc.topo}, []int{tc.size}
+		a.Dynamics = []dynamics.Desc{dynamics.NoneDesc(), join}
+		_, err := a.Grid()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s/%d: %v", tc.topo.Name, tc.size, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s/%d: ring join accepted on a graph without a closing edge", tc.topo.Name, tc.size)
+			continue
+		}
+		for _, want := range []string{join.Name, tc.topo.Name} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s/%d: error %q does not name %q", tc.topo.Name, tc.size, err, want)
+			}
+		}
+	}
+}
+
 // TestParseTopo round-trips every family and rejects junk.
 func TestParseTopo(t *testing.T) {
 	for _, name := range []string{"ring", "line", "complete", "star", "tree", "hypercube", "torus"} {

@@ -63,6 +63,16 @@
 # same fixed-cost set). A regression that allocates per phase sample
 # adds hundreds per op (32 rounds × 7+ phase brackets) and fails loudly.
 #
+# BenchmarkSimPairwiseQuiescent1e5 pins the quiescent round: pairwise
+# Min started at consensus on Ring(100_000), 4 state shards, 64 rounds
+# per op on a warm scratch. No step changes anything, so nothing is
+# staged or flushed and the monitor re-issues its cached verdict. The
+# fixed seed measures 99 allocs/op at any GOMAXPROCS — per-run
+# bookkeeping only (Result, probe, environment, target, the round-0
+# observation, the final-state copy). The budget of 140 sits ~40% above
+# that and below 99 + 64, so a regression that allocates even once per
+# round fails loudly.
+#
 # BenchmarkSchedExchange1e4 pins the sharded actor scheduler's
 # per-exchange allocation contract: an 8192-agent hypercube min cell with
 # a 60·N (~500k) initiation budget runs to convergence in ~73 allocs/op —
@@ -78,7 +88,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkAsyncRuntimeMin$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
+out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkAsyncRuntimeMin$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSimPairwiseQuiescent1e5$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
 echo "$out"
 
 fail=0
@@ -116,5 +126,6 @@ check BenchmarkSimWithDynamics 1600
 check BenchmarkSimPairwiseDelta1e5 400
 check BenchmarkJoinSplice 400
 check BenchmarkSimRoundProbed 400
+check BenchmarkSimPairwiseQuiescent1e5 140
 check BenchmarkSchedExchange1e4 400
 exit $fail
