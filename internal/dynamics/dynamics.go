@@ -23,9 +23,9 @@
 //     dropped with some probability each round — a temporary
 //     availability override on top of the environment's own behaviour.
 //
-// (Message loss and delay for the asynchronous runtimes are the fourth
+// (Message loss and delay for the asynchronous runtime are the fourth
 // primitive; they live in Faults, injected at the exchange layer by
-// internal/runtime and internal/sched.)
+// internal/sched.)
 //
 // A Schedule is engine-agnostic: the round engine (internal/sim) applies
 // one schedule round per simulation round, and the sharded scheduler

@@ -7,9 +7,9 @@ import (
 
 // Faults is the asynchronous-runtime half of the dynamism model: faults
 // injected at the EXCHANGE layer rather than the round loop, because the
-// async runtime has no rounds. internal/runtime consumes this through
-// runtime.Options.Faults; a nil Faults leaves the runtime untouched
-// (pinned bit-identical by the GOMAXPROCS(1) async golden test).
+// async runtime has no rounds. internal/sched consumes this through
+// sched.Options.Faults; a nil Faults leaves the runtime untouched
+// (pinned bit-identical by the sched 1-worker golden test).
 //
 // Loss models a request dropped in transit: the initiation is spent (it
 // counts against MaxOps and Result.Lost) but no exchange happens — the

@@ -1,6 +1,6 @@
 // Package engine is the shared core of the two execution engines — the
 // round-based simulator (internal/sim) and the asynchronous message-passing
-// runtime (internal/runtime).
+// runtime (internal/sched).
 //
 // Both engines realize the same execution model (Chandy & Charpentier,
 // ICDCS 2007, §2.1): agents transitions interleave with environment
@@ -9,7 +9,7 @@
 // conservation law f(S) = S* (§3.2) and the monotone descent of the
 // variant h (§3.5). Before this package existed those monitors, the
 // convergence detector, and the deterministic seeding discipline were
-// implemented twice and had started to diverge; sim and runtime now build
+// implemented twice and had started to diverge; sim and sched now build
 // on the primitives here:
 //
 //   - Monitor: conservation-law checking, variant-descent checking, and

@@ -49,14 +49,14 @@ const (
 // The controller is scheduling state only: it decides WHEN an agent
 // retries, never what it computes, so results (final multiset, target,
 // conservation verdicts) are unchanged for any controller behaviour —
-// the GOMAXPROCS(1) async golden test pins exactly the fields that must
-// not move. The zero value is ready to use (empty history, zero window).
+// the sched 1-worker golden pins exactly the fields that must not move.
+// The zero value is ready to use (empty history, zero window).
 type AIMD struct {
 	// rate is the EWMA'd busy-rejection probability in 16.16 fixed point
 	// (0 … rateOne).
 	rate int64
-	// window is the current backoff window; the actual sleep is uniform
-	// in (0, window] so clashing agents desynchronize.
+	// window is the current backoff window; the actual deferral is
+	// uniform in (0, window] so clashing agents desynchronize.
 	window time.Duration
 }
 
@@ -81,7 +81,7 @@ func (b *AIMD) ceiling() time.Duration {
 }
 
 // onRejected records a busy rejection and returns the new window the
-// agent should draw its sleep from: multiplicative increase, clamped to
+// agent should draw its deferral from: multiplicative increase, clamped to
 // the rate-derived ceiling.
 func (b *AIMD) OnRejected() time.Duration {
 	b.observe(true)
@@ -108,32 +108,3 @@ func (b *AIMD) OnSuccess() {
 		b.window -= minBackoff
 	}
 }
-
-// fixedLadderCeiling is the legacy controller's constant maximum window —
-// the value the AIMD controller's adaptive ceiling replaced.
-const fixedLadderCeiling = 512 * time.Microsecond
-
-// fixedLadder is the pre-AIMD backoff policy, retained verbatim as the
-// baseline for the backoff field-validation study
-// (Options.FixedBackoff, EXPERIMENTS.md appendix): double the window
-// from minBackoff up to a constant 512µs ceiling on every rejection,
-// reset it to zero on any completed exchange. Its two weaknesses are
-// exactly what the study measures — the constant ceiling was tuned for
-// ring-degree contention and saturates far too low on high-degree
-// graphs, and the reset-to-zero forgets a hot neighbourhood after a
-// single success and immediately re-collides.
-type fixedLadder struct{ window time.Duration }
-
-func (l *fixedLadder) OnRejected() time.Duration {
-	if l.window < minBackoff {
-		l.window = minBackoff
-	} else {
-		l.window *= 2
-	}
-	if l.window > fixedLadderCeiling {
-		l.window = fixedLadderCeiling
-	}
-	return l.window
-}
-
-func (l *fixedLadder) OnSuccess() { l.window = 0 }

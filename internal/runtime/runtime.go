@@ -1,108 +1,22 @@
-// Package runtime is an asynchronous, message-passing realization of the
-// paper's algorithms: one goroutine per agent, channels as communication
-// links, and an environment that toggles link availability while the
-// agents run.
+// Package runtime holds the two pieces of the asynchronous runtime that
+// live outside internal/sched: Result, the report of an asynchronous run
+// (with ProperStepsPerSec), and AIMD, the busy-backoff controller the
+// scheduler turns into admission-control deadlines. The runtime itself —
+// the push-pull/busy-guard exchange protocol of the paper's §4.5 remark,
+// executed on sharded event loops — is internal/sched.Run.
 //
-// It complements the round-based engine in internal/sim: sim realizes the
-// paper's synchronous-partition execution model exactly, while this
-// package demonstrates the remark in §4.5 that the step relation "can be
-// easily implemented by asynchronous message passing". There is no round
-// structure here: agents gossip whenever they like over whatever links the
-// environment currently allows, and the conservation law plus variant
-// descent still carry the system to f(S(0)).
-//
-// Protocol (push-pull gossip with a busy guard):
-//
-//   - an initiating agent picks a random neighbour whose link is up and
-//     sends its state together with a reply channel;
-//   - the partner — unless it is itself mid-exchange — computes
-//     PairStep(initiator, partner), adopts its half, and replies with the
-//     initiator's half; a busy partner replies "busy" and nothing changes;
-//   - while awaiting the reply, the initiator answers its own inbox with
-//     "busy" so that two agents initiating at each other can never
-//     deadlock;
-//   - a busy-rejected initiator backs off for a short randomized window
-//     during which it SERVES its inbox instead of re-initiating. Without
-//     the backoff the system can phase-lock into a busy storm — every
-//     agent perpetually mid-initiate, every request answered "busy" —
-//     because an agent is receptive only in the tiny window between
-//     exchanges; the backoff both desynchronizes the retries and widens
-//     exactly that window. The window is ADAPTIVE: each agent derives it
-//     from its observed busy-rejection rate with an AIMD controller
-//     (multiplicative increase on rejection, additive decrease on
-//     success, ceiling scaled by the rejection-rate EWMA — see
-//     backoff.go), so low-contention agents pay near-zero latency while
-//     high-degree neighbourhoods, where rejection probability grows with
-//     degree, back off much further than the old fixed 512µs ceiling
-//     allowed.
-//
-// The pair transition is atomic at the partner, and the initiator admits
-// no other exchange while its half is in flight, so the two-agent multiset
-// transition is exactly a PairStep of the problem — i.e. a D-step. The
-// global multiset passes through transient states where one half has been
-// adopted and the other is in flight; conservation is therefore asserted
-// at quiescence, not per-interleaving — via the same engine.Monitor the
-// round-based engine uses, so the two engines share one definition of the
-// conservation law, the variant discipline, convergence, and the
-// deterministic seeding scheme.
+// Nothing else belongs here. The package survives only because the
+// repository benchmark (perfbench) names runtime.Result, and the
+// benchmark's files change only in a benchmark change; at the next one
+// both types fold into sched.
 package runtime
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"slices"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dynamics"
-	"repro/internal/engine"
-	"repro/internal/graph"
 	ms "repro/internal/multiset"
-	"repro/internal/obs"
 )
-
-// Options configures an asynchronous run.
-type Options struct {
-	// Seed drives neighbour selection and link churn.
-	Seed int64
-	// LinkUpProbability is the chance a link is up each time the
-	// environment refreshes (1.0 = static network).
-	LinkUpProbability float64
-	// RefreshEvery is how many initiations pass between environment
-	// refreshes of link availability (default 16).
-	RefreshEvery int
-	// MaxOps bounds the total number of initiated exchanges (default
-	// 1_000_000).
-	MaxOps int
-	// Timeout bounds wall-clock time (default 10s).
-	Timeout time.Duration
-	// Faults, when non-nil, injects message loss and delivery delay at
-	// the exchange layer (see dynamics.Faults): a request whose link is
-	// up may still be lost in transit with probability LossP (the
-	// initiation is spent, counted in Result.Lost), and surviving
-	// requests wait a uniform (0, DelayMax] before delivery, the
-	// initiator serving its inbox meanwhile. nil injects nothing and is
-	// bit-identical to the pre-fault runtime (the GOMAXPROCS(1) golden
-	// pins it).
-	Faults *dynamics.Faults
-	// Probe, when non-nil, records the exchange lifecycle on the
-	// observability layer's atomic counters: initiations, busy
-	// rejections, adopted deliveries, in-transit losses, and backoff
-	// windows entered (plus their summed nanoseconds). Counters only —
-	// agents run concurrently, and obs phase timers are single-goroutine.
-	// Probes never draw from the seeded streams, so attaching one leaves
-	// the GOMAXPROCS(1) golden byte-identical.
-	Probe *obs.Probe
-	// FixedBackoff replaces the adaptive AIMD busy-backoff controller
-	// with the legacy fixed doubling ladder (512µs ceiling, reset to
-	// zero on success). Scheduling policy only — results are unaffected;
-	// retained as the baseline the backoff field-validation benchmarks
-	// compare the AIMD controller against (EXPERIMENTS.md appendix).
-	FixedBackoff bool
-}
 
 // Result reports an asynchronous run.
 type Result[T any] struct {
@@ -113,7 +27,8 @@ type Result[T any] struct {
 	// ProperSteps counts exchanges that changed the pair's multiset.
 	ProperSteps int
 	// Violations lists monitor failures asserted at quiescence (the
-	// conservation law f(S) = S* and the net descent of the variant h);
+	// conservation law f(S) = S* and the net descent of the variant h)
+	// and scheduler audit failures (a run that drained with work left);
 	// empty on a correct run.
 	Violations []string
 	// Final holds the final (positional) agent states.
@@ -122,24 +37,23 @@ type Result[T any] struct {
 	Target ms.Multiset[T]
 	// QuiescenceChecks counts how many times the quiescence detector
 	// examined the observation board. The detector is event-driven — it
-	// wakes only when an agent adopts a new state — so this is bounded by
-	// the number of adoptions (at most 2·Ops), never by wall-clock time;
-	// tests pin this bound to keep the busy-poll loop from coming back.
+	// runs only after some agent adopted a new state — so this is bounded
+	// by the number of adoptions (at most 2·Ops), never by wall-clock
+	// time; tests pin this bound to keep a busy-poll loop from coming
+	// back.
 	QuiescenceChecks int
 	// Rejections counts busy-rejected initiations — the contention signal
 	// the adaptive AIMD backoff feeds on (Rejections ≤ Ops −
-	// ProperSteps; high values mean the run spent real time in backoff).
+	// ProperSteps).
 	Rejections int
 	// Lost counts initiated exchanges whose request was dropped in
-	// transit by the fault layer (0 when Options.Faults is nil).
+	// transit by the fault layer (0 when no faults are injected).
 	Lost int
 	// Elapsed is the wall-clock duration of the run, stamped via the
-	// sanctioned obs clock by both async engines (goroutine-per-agent and
-	// sched) so their throughput is comparable without benchmark
+	// sanctioned obs clock so throughput is derivable without benchmark
 	// scaffolding.
 	Elapsed time.Duration
-	// Steals counts run-queue steals by idle workers; always 0 on the
-	// goroutine-per-agent runtime, populated by the sched engine.
+	// Steals counts run-queue steals by idle workers.
 	Steals int
 	// Dynamics reports what a dynamics schedule actually did (crashes,
 	// recoveries, joins, amnesiac resets); nil when no schedule ran.
@@ -154,449 +68,4 @@ func (r *Result[T]) ProperStepsPerSec() float64 {
 		return 0
 	}
 	return float64(r.ProperSteps) / r.Elapsed.Seconds()
-}
-
-type request[T any] struct {
-	state T
-	reply chan response[T]
-}
-
-type response[T any] struct {
-	busy  bool
-	state T
-}
-
-// linkTable is the shared environment state: which links are currently
-// up. Agents consult it before initiating; it is refreshed concurrently.
-type linkTable struct {
-	mu sync.RWMutex
-	up []bool
-}
-
-func (lt *linkTable) isUp(id int) bool {
-	lt.mu.RLock()
-	defer lt.mu.RUnlock()
-	return lt.up[id]
-}
-
-func (lt *linkTable) refresh(p float64, rng *rand.Rand) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for i := range lt.up {
-		lt.up[i] = rng.Float64() < p
-	}
-}
-
-// Run executes problem p over graph g from the given initial states using
-// one goroutine per agent, until the observed state multiset equals
-// f(S(0)) or a budget is exhausted. The final states are authoritative
-// (gathered after all agents have stopped), so the convergence verdict is
-// exact even though progress observation is approximate.
-func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*Result[T], error) {
-	clk := obs.NewWallClock()
-	startNs := clk.Now()
-	n := g.N()
-	if len(initial) != n {
-		return nil, fmt.Errorf("runtime: %d initial states for %d agents", len(initial), n)
-	}
-	if n == 0 {
-		return nil, errors.New("runtime: empty system")
-	}
-	if opts.RefreshEvery <= 0 {
-		opts.RefreshEvery = 16
-	}
-	if opts.MaxOps <= 0 {
-		opts.MaxOps = 1_000_000
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 10 * time.Second
-	}
-	if opts.LinkUpProbability <= 0 {
-		opts.LinkUpProbability = 1
-	}
-	if opts.Faults != nil {
-		if err := opts.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-	}
-
-	cmp := p.Cmp()
-	initialM := ms.New(cmp, initial...)
-	mon := engine.NewMonitor(p, initialM, 0)
-	conv := engine.NewConvergence(p.Equal, mon.Target())
-	target := mon.Target()
-	res := &Result[T]{Target: target}
-	if conv.Observe(0, initialM) {
-		res.Converged = true
-		res.Final = append([]T(nil), initial...)
-		res.Elapsed = time.Duration(clk.Now() - startNs)
-		return res, nil
-	}
-
-	// PR 3 migrated the round engine's group streams off stdlib rand's
-	// O(607)-per-reseed source; these were the last two stdlib streams
-	// the engines constructed. FastRand substreams keep the same
-	// (seed)-determinism contract — the GOMAXPROCS(1) golden pins the
-	// final multiset, which is stream-independent, so the migration is
-	// a behavioural no-op at the level the goldens check.
-	links := &linkTable{up: make([]bool, g.M())}
-	envRng := engine.NewFastRand(engine.EnvSeed(opts.Seed))
-	links.refresh(opts.LinkUpProbability, envRng.Rand)
-
-	// Shared observation board: agents post their state after every
-	// adoption and nudge the quiescence detector, which re-examines the
-	// board only then — event-driven, no polling. The nudge channel has
-	// capacity 1 and posts never block on it: a pending nudge already
-	// guarantees the detector will read the board after this post.
-	type slot struct {
-		mu sync.Mutex
-		v  T
-	}
-	board := make([]*slot, n)
-	for i := range board {
-		board[i] = &slot{v: initial[i]}
-	}
-	progress := make(chan struct{}, 1)
-	post := func(i int, v T) {
-		board[i].mu.Lock()
-		board[i].v = v
-		board[i].mu.Unlock()
-		select {
-		case progress <- struct{}{}:
-		default:
-		}
-	}
-	// reached snapshots the board into a reusable sorted buffer and probes
-	// the convergence target — supervisor-only, zero allocation per check.
-	viewBuf := make([]T, n)
-	reached := func() bool {
-		for i := range viewBuf {
-			board[i].mu.Lock()
-			viewBuf[i] = board[i].v
-			board[i].mu.Unlock()
-		}
-		slices.SortFunc(viewBuf, cmp)
-		return conv.Reached(ms.View(cmp, viewBuf))
-	}
-
-	// Inbox capacity is the protocol bound — at most one outstanding
-	// request per neighbour — not n: capacity-n inboxes cost O(n²) memory
-	// in total, which is what capped this engine near 10³ agents before
-	// the E20 scaling study needed 10⁴ goroutine-per-agent cells.
-	inboxes := make([]chan request[T], n)
-	for i := range inboxes {
-		inboxes[i] = make(chan request[T], g.Degree(i)+1)
-	}
-
-	// Neighbour/edge ids per agent for link checks.
-	type nb struct{ agent, edge int }
-	neighbours := make([][]nb, n)
-	for id, e := range g.Edges() {
-		neighbours[e.A] = append(neighbours[e.A], nb{e.B, id})
-		neighbours[e.B] = append(neighbours[e.B], nb{e.A, id})
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-	defer cancel()
-
-	// budgetOut is closed exactly once, by the agent whose initiation
-	// brings opCount to MaxOps — the supervisor's event-driven signal that
-	// the run must wind down even if no further state change ever happens.
-	var opCount, properCount int64
-	var countMu sync.Mutex
-	budgetOut := make(chan struct{})
-	budgetClosed := false
-	budgetLeft := func() bool {
-		countMu.Lock()
-		defer countMu.Unlock()
-		return int(opCount) < opts.MaxOps
-	}
-
-	// Two-phase wind-down. Cancellation must never tear an exchange: once
-	// a request is in a partner's inbox, the partner may adopt its half
-	// (a sum transfer moves mass) — if the initiator then exits without
-	// adopting the reply, conservation is violated in the finals. So on
-	// cancel an agent first finishes any exchange of its own that is in
-	// flight (serving busy meanwhile), signals it will initiate no more,
-	// and then keeps answering busy until EVERY agent has so signalled —
-	// only then can no request still be en route to its inbox, and a
-	// final non-blocking drain makes exiting safe.
-	var initiating sync.WaitGroup
-	initiating.Add(n)
-	servePhase := make(chan struct{})
-	go func() { initiating.Wait(); close(servePhase) }()
-
-	finals := make([]T, n)
-	rejections := make([]int, n)
-	lost := make([]int, n)
-	var wg sync.WaitGroup
-	for a := 0; a < n; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			my := initial[a]
-			defer func() { finals[a] = my }()
-			rng := engine.NewFastRand(engine.AgentSeed(opts.Seed, a))
-			inbox := inboxes[a]
-			// One reusable reply channel for the agent's whole lifetime:
-			// the initiator admits no other exchange while its half is in
-			// flight, so at most one reply is ever outstanding and the
-			// run allocates O(agents), not O(exchanges), reply channels.
-			replyCh := make(chan response[T], 1)
-			// One reusable backoff timer (created stopped; Reset arms it).
-			backoffTimer := time.NewTimer(time.Hour)
-			if !backoffTimer.Stop() {
-				<-backoffTimer.C
-			}
-			defer backoffTimer.Stop()
-			// Per-agent adaptive backoff: the window derives from this
-			// agent's own observed rejection rate (see backoff.go).
-			// Options.FixedBackoff swaps in the legacy fixed ladder — the
-			// baseline the field-validation benchmarks compare against.
-			var backoff AIMD
-			var ladder fixedLadder
-			useFixed := opts.FixedBackoff
-
-			serve := func(req request[T]) {
-				na, nb := p.PairStep(req.state, my, rng.Rand)
-				my = nb
-				post(a, my)
-				req.reply <- response[T]{state: na}
-			}
-			// windDown is the only way out of the loop: announce this
-			// agent initiates no more, then answer busy until every agent
-			// has announced the same (so nothing can still be en route
-			// here), then drain and go. Busy replies never block: each
-			// neighbour has at most one exchange outstanding and its
-			// reply channel has capacity 1.
-			windDown := func() {
-				initiating.Done()
-				for {
-					select {
-					case req := <-inbox:
-						req.reply <- response[T]{busy: true}
-					case <-servePhase:
-						for {
-							select {
-							case req := <-inbox:
-								req.reply <- response[T]{busy: true}
-							default:
-								return
-							}
-						}
-					}
-				}
-			}
-
-			for {
-				// Serve anything pending first.
-				select {
-				case <-ctx.Done():
-					windDown()
-					return
-				case req := <-inbox:
-					serve(req)
-					continue
-				default:
-				}
-				if !budgetLeft() {
-					// Budget exhausted: keep serving so peers can finish,
-					// until cancellation.
-					select {
-					case <-ctx.Done():
-						windDown()
-						return
-					case req := <-inbox:
-						serve(req)
-					}
-					continue
-				}
-				// Initiate with a random up-neighbour.
-				if len(neighbours[a]) == 0 {
-					select {
-					case <-ctx.Done():
-						windDown()
-						return
-					case req := <-inbox:
-						serve(req)
-					}
-					continue
-				}
-				pick := neighbours[a][rng.Intn(len(neighbours[a]))]
-				countMu.Lock()
-				opCount++
-				if int(opCount)%opts.RefreshEvery == 0 {
-					links.refresh(opts.LinkUpProbability, envRng.Rand)
-				}
-				if !budgetClosed && int(opCount) >= opts.MaxOps {
-					budgetClosed = true
-					close(budgetOut)
-				}
-				countMu.Unlock()
-				opts.Probe.Add(obs.CounterExchInitiate, 1)
-				if !links.isUp(pick.edge) {
-					continue
-				}
-				if f := opts.Faults; f != nil {
-					// Exchange-layer fault injection, on the agent's own
-					// stream. Loss: the request vanishes in transit — the
-					// initiation is spent, no exchange happens, the
-					// initiator moves on as if the link had dropped.
-					if f.LossP > 0 && rng.Float64() < f.LossP {
-						lost[a]++
-						opts.Probe.Add(obs.CounterExchLost, 1)
-						continue
-					}
-					// Delay: the request is in flight for a while before
-					// delivery; the agent stays receptive meanwhile (a
-					// delayed sender that refused service could deadlock
-					// against its own partner).
-					if f.DelayMax > 0 {
-						backoffTimer.Reset(time.Duration(1 + rng.Int63n(int64(f.DelayMax))))
-					delaying:
-						for {
-							select {
-							case <-ctx.Done():
-								windDown()
-								return
-							case req := <-inbox:
-								serve(req)
-							case <-backoffTimer.C:
-								break delaying
-							}
-						}
-					}
-				}
-				select {
-				case inboxes[pick.agent] <- request[T]{state: my, reply: replyCh}:
-				case <-ctx.Done():
-					windDown()
-					return
-				}
-				// Await the reply; answer own inbox with busy meanwhile
-				// (prevents initiator-initiator deadlock).
-				before := my
-				rejected := false
-				dying := false
-				ctxDone := ctx.Done()
-			awaitReply:
-				for {
-					select {
-					case <-ctxDone:
-						// The request is already in the partner's inbox (or
-						// being served): abandoning the reply would tear the
-						// exchange — the partner's half adopted, ours not.
-						// The reply is guaranteed (the partner cannot exit
-						// its serve phase while our half is in flight), so
-						// stop watching the context and wait it out.
-						dying = true
-						ctxDone = nil
-					case r := <-replyCh:
-						if r.busy {
-							rejected = true
-						} else {
-							if useFixed {
-								ladder.OnSuccess()
-							} else {
-								backoff.OnSuccess()
-							}
-							my = r.state
-							post(a, my)
-							opts.Probe.Add(obs.CounterExchDeliver, 1)
-							if cmp(before, my) != 0 {
-								countMu.Lock()
-								properCount++
-								countMu.Unlock()
-							}
-						}
-						break awaitReply
-					case req := <-inbox:
-						req.reply <- response[T]{busy: true}
-					}
-				}
-				if dying {
-					windDown()
-					return
-				}
-				if rejected {
-					// Receptive backoff: serve peers instead of re-initiating
-					// for a randomized window whose size the AIMD controller
-					// derives from the observed rejection rate (see the
-					// protocol notes in the package comment and backoff.go).
-					rejections[a]++
-					opts.Probe.Add(obs.CounterExchBusy, 1)
-					var window time.Duration
-					if useFixed {
-						window = ladder.OnRejected()
-					} else {
-						window = backoff.OnRejected()
-					}
-					wait := time.Duration(1 + rng.Int63n(int64(window)))
-					if opts.Probe != nil {
-						opts.Probe.Add(obs.CounterExchBackoffs, 1)
-						opts.Probe.Add(obs.CounterExchBackoffNs, int64(wait))
-					}
-					backoffTimer.Reset(wait)
-				backingOff:
-					for {
-						select {
-						case <-ctx.Done():
-							windDown()
-							return
-						case req := <-inbox:
-							serve(req)
-						case <-backoffTimer.C:
-							break backingOff
-						}
-					}
-				}
-			}
-		}(a)
-	}
-
-	// Quiescence detector: sleeps until an agent adopts a new state (or
-	// the op budget runs out), re-examines the board exactly then, and
-	// cancels the run at apparent convergence. The final verdict below is
-	// still computed from the authoritative post-join states, so the
-	// detector only decides WHEN to stop, never WHAT the answer is.
-	done := make(chan struct{})
-	checks := 0
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-budgetOut:
-				cancel()
-				return
-			case <-progress:
-			}
-			checks++
-			if reached() {
-				cancel()
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	<-done
-
-	res.Final = finals
-	res.Ops = int(opCount)
-	res.ProperSteps = int(properCount)
-	res.QuiescenceChecks = checks
-	for _, r := range rejections {
-		res.Rejections += r
-	}
-	for _, l := range lost {
-		res.Lost += l
-	}
-	finalM := ms.New(cmp, finals...)
-	res.Converged = conv.Observe(res.Ops, finalM)
-	mon.ObserveQuiescence(finalM)
-	res.Violations = mon.Violations()
-	res.Elapsed = time.Duration(clk.Now() - startNs)
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -10,20 +11,6 @@ import (
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
 	"repro/internal/runtime"
-)
-
-// outcome is what the finishing worker does with a processed agent.
-type outcome uint8
-
-const (
-	// outPark: the agent waits for an external event (a reply, a wake, a
-	// delivery); nothing re-runs it until one arrives.
-	outPark outcome = iota
-	// outRequeue: the agent goes straight back on its home run queue.
-	outRequeue
-	// outDefer: the agent goes on its home deferred heap until the due
-	// tick (admission control or a delayed send).
-	outDefer
 )
 
 // ticks converts a wall-clock duration from the AIMD controller or the
@@ -56,9 +43,7 @@ func (r *run[T]) worker(w int) {
 
 		a, ok := r.next(own, w)
 		if !ok {
-			if !r.sleep(own) {
-				break
-			}
+			r.sleep(own)
 			continue
 		}
 		r.process(a, rng)
@@ -70,41 +55,33 @@ func (r *run[T]) worker(w int) {
 }
 
 // next claims one runnable agent for worker w, or reports none. Every
-// flag transition happens under the claimed agent's home shard lock —
+// claim is a state transition under the claimed agent's home shard lock —
 // one agent per steal, so a thief never moves scheduling state out from
 // under its home lock.
 func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	now := r.vnow.Load()
 	own.mu.Lock()
-	if len(own.deferred) > 0 && own.deferred[0].due <= now {
-		e, _ := own.heapPop()
-		r.flags[e.agent] = r.flags[e.agent]&^flagDeferred | flagRunning
+	if e, ok := r.popDeferred(own, now); ok {
 		own.mu.Unlock()
 		return e.agent, true
 	}
-	if a, ok := own.rqPop(); ok {
-		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(own.rqLen))
-		r.flags[a] = r.flags[a]&^flagQueued | flagRunning
+	if a, ok := r.popQueue(own); ok {
 		own.mu.Unlock()
 		return a, true
 	}
 	own.mu.Unlock()
 
 	// Steal: a deterministic round-robin sweep starting one shard up.
-	if !r.opts.NoSteal {
-		P := len(r.shards)
-		for i := 1; i < P; i++ {
-			v := &r.shards[(w+i)%P]
-			v.mu.Lock()
-			if a, ok := v.rqPop(); ok {
-				r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(v.rqLen))
-				r.flags[a] = r.flags[a]&^flagQueued | flagRunning
-				v.mu.Unlock()
-				r.steals.Add(1)
-				r.opts.Probe.Add(obs.CounterSchedSteals, 1)
-				return a, true
-			}
-			v.mu.Unlock()
+	P := len(r.shards)
+	for i := 1; i < P; i++ {
+		v := &r.shards[(w+i)%P]
+		v.mu.Lock()
+		a, ok := r.popQueue(v)
+		v.mu.Unlock()
+		if ok {
+			r.steals.Add(1)
+			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
+			return a, true
 		}
 	}
 
@@ -113,52 +90,70 @@ func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	// deferral runs — deadlines shape interleaving, they never cost
 	// wall-clock or liveness. Without the clock jump this would spin: a
 	// system where every agent waits on a deadline has no initiations to
-	// move time forward.
+	// move time forward. Stale entries are dropped on the way and never
+	// move the clock.
 	own.mu.Lock()
-	if len(own.deferred) > 0 {
-		e, _ := own.heapPop()
-		r.flags[e.agent] = r.flags[e.agent]&^flagDeferred | flagRunning
-		own.mu.Unlock()
-		r.advance(e.due)
-		return e.agent, true
-	}
+	e, ok := r.popDeferred(own, math.MaxInt64)
 	own.mu.Unlock()
-	return 0, false
+	if !ok {
+		return 0, false
+	}
+	r.advance(e.due)
+	return e.agent, true
 }
 
-// sleep blocks the worker until new work can exist for it. Returns false
-// when the run is over (stop, or nothing can ever run again). The
-// re-check after publishing sleeping closes the lost-wakeup window — a
-// waker that saw sleeping=true has already parked its token in the
-// capacity-1 channel, so the receive below cannot hang — and the
-// runnable==0 check closes the termination one.
-func (r *run[T]) sleep(own *shard[T]) bool {
+// popQueue claims the oldest agent on sh's run queue. Caller holds sh.mu.
+//
+//det:hotpath
+func (r *run[T]) popQueue(sh *shard[T]) (int32, bool) {
+	a, ok := sh.rqPop()
+	if !ok {
+		return 0, false
+	}
+	r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(sh.rqLen))
+	r.state[a], _ = transition(r.state[a], evPopQueue)
+	return a, true
+}
+
+// popDeferred claims the agent of sh's earliest live deferral due at or
+// before limit, dropping the stale entries it passes. Caller holds sh.mu.
+//
+//det:hotpath
+func (r *run[T]) popDeferred(sh *shard[T], limit int64) (deferEntry, bool) {
+	for len(sh.deferred) > 0 && sh.deferred[0].due <= limit {
+		e := sh.heapPop()
+		if e.gen != r.gen[e.agent] {
+			continue
+		}
+		r.state[e.agent], _ = transition(r.state[e.agent], evPopHeap)
+		return e, true
+	}
+	return deferEntry{}, false
+}
+
+// sleep blocks the worker until new work can exist for it. The re-check
+// after publishing sleeping closes the lost-wakeup window: a waker that
+// saw sleeping=true has already parked its token in the capacity-1
+// channel, so the receive below cannot hang. Termination needs no check
+// here — the finish that idles the last agent halts the run, and halt
+// wakes every sleeper.
+func (r *run[T]) sleep(own *shard[T]) {
 	own.mu.Lock()
 	if own.rqLen > 0 || len(own.deferred) > 0 {
 		own.mu.Unlock()
-		return true
+		return
 	}
 	own.sleeping = true
 	own.mu.Unlock()
 
 	if r.stop.Load() || r.sp.want.Load() {
 		r.cancelSleep(own)
-		return true
-	}
-	if r.runnable.Load() == 0 {
-		// No agent is queued, deferred, or running anywhere, and every
-		// in-flight message's target would be queued: nothing can ever
-		// happen again. Drained — stop the run (islands, all crashed,
-		// budget spent) instead of waiting out the wall-clock timeout.
-		r.cancelSleep(own)
-		r.halt()
-		return false
+		return
 	}
 	r.sleepers.Add(1)
 	r.opts.Probe.Add(obs.CounterSchedParks, 1)
 	<-own.wake
 	r.sleepers.Add(-1)
-	return true
 }
 
 // cancelSleep retracts a published sleeping mark, consuming the wake
@@ -177,7 +172,7 @@ func (r *run[T]) cancelSleep(own *shard[T]) {
 }
 
 // deliver pushes m into agent to's mailbox and makes to runnable. The
-// push and the flag transition share to's home shard critical section.
+// push and the state transition share to's home shard critical section.
 //
 //det:hotpath
 func (r *run[T]) deliver(to int32, m message[T]) {
@@ -187,37 +182,45 @@ func (r *run[T]) deliver(to int32, m message[T]) {
 	r.enqueueLocked(sh, to)
 }
 
-// enqueueLocked makes agent a runnable. The caller holds sh.mu (a's home
-// shard); enqueueLocked releases it.
+// enqueueLocked applies a delivery to agent a: an idle or deferred agent
+// joins its home run queue (a deferred one leaves a stale heap entry
+// behind), a running one is marked pending. The caller holds sh.mu (a's
+// home shard); enqueueLocked releases it.
 //
 //det:hotpath
 func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
-	f := r.flags[a]
-	if f&flagRunning != 0 {
-		r.flags[a] = f | flagRepoll
+	s := r.state[a]
+	next, d := transition(s, evDeliver)
+	r.state[a] = next
+	if d != 0 {
+		r.runnable.Add(d)
+	}
+	if s == stDeferred {
+		r.gen[a]++
+	}
+	if next != stQueued || s == stQueued {
 		sh.mu.Unlock()
 		return
-	}
-	if f&flagQueued != 0 {
-		sh.mu.Unlock()
-		return
-	}
-	r.flags[a] = f | flagQueued
-	if f&flagDeferred == 0 {
-		r.runnable.Add(1)
 	}
 	sh.rqPush(a)
 	r.opts.Probe.Add(obs.CounterSchedEnqueues, 1)
+	r.unlockAndWake(sh)
+}
+
+// unlockAndWake releases sh.mu after a push onto sh and wakes the worker
+// that should serve it: sh's own worker when it sleeps — only the owner
+// fast-forwards its heap — else, when the run queue holds more than one
+// agent, one sleeping thief.
+//
+//det:hotpath
+func (r *run[T]) unlockAndWake(sh *shard[T]) {
 	depth := sh.rqLen
 	wake := sh.sleeping
 	sh.sleeping = false
 	sh.mu.Unlock()
 	if wake {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
-	} else if depth > 1 && !r.opts.NoSteal && r.sleepers.Load() > 0 {
+		sh.signal()
+	} else if depth > 1 && r.sleepers.Load() > 0 {
 		r.wakeThief()
 	}
 }
@@ -226,16 +229,7 @@ func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
 // stolen instead of waiting for its owner to come around.
 func (r *run[T]) wakeThief() {
 	for s := range r.shards {
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		wake := sh.sleeping
-		sh.sleeping = false
-		sh.mu.Unlock()
-		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
+		if r.shards[s].wakeIfSleeping() {
 			return
 		}
 	}
@@ -243,11 +237,11 @@ func (r *run[T]) wakeThief() {
 
 // process runs one scheduling event for agent a: drain the mailbox, then
 // initiate, complete a delayed send, or park/defer; finally settle the
-// scheduling flags. The worker owns a's non-scheduling state for the
+// agent's scheduling state. The worker owns a's non-scheduling state for the
 // whole call — ownership transferred through the queue pop.
 func (r *run[T]) process(a int32, rng *engine.FastRand) {
 	sh := r.home(a)
-	out := outPark
+	out := evPark
 	var due int64
 
 	for {
@@ -267,21 +261,20 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 		// Mid-exchange: the reply will re-enqueue us.
 	case r.sendTo[a] >= 0:
 		// A delayed request is pending; the agent stays receptive until
-		// the send tick, then commits its CURRENT state (the goroutine
-		// runtime's delay loop has the same capture point).
+		// the send tick, then commits its CURRENT state.
 		if now := r.vnow.Load(); now >= r.sendDue[a] {
 			to := r.sendTo[a]
 			r.sendTo[a] = -1
 			r.awaiting[a] = true
 			r.deliver(to, message[T]{from: a, kind: msgRequest, state: r.states[a]})
 		} else {
-			out, due = outDefer, r.sendDue[a]
+			out, due = evDefer, r.sendDue[a]
 		}
 	case r.budgetOut.Load():
 		// Budget drained: keep serving peers (above), initiate nothing.
 	default:
 		if now := r.vnow.Load(); r.actDue[a] > now {
-			out, due = outDefer, r.actDue[a]
+			out, due = evDefer, r.actDue[a]
 		} else {
 			out, due = r.initiate(a, rng)
 		}
@@ -290,38 +283,29 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 	r.finish(sh, a, out, due)
 }
 
-// finish settles agent a's scheduling flags after one processing event
-// and detects the drained-system termination condition.
+// finish applies the outcome of one processing event to agent a's state,
+// pushes it where that state says, and halts a run whose last non-idle
+// agent just went idle: nothing can ever happen again.
 //
 //det:hotpath
-func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
+func (r *run[T]) finish(sh *shard[T], a int32, out schedEvent, due int64) {
 	sh.mu.Lock()
-	f := r.flags[a] &^ flagRunning
-	if f&flagRepoll != 0 {
-		f &^= flagRepoll
-		if out == outPark {
-			out = outRequeue
-		}
-	}
-	switch out {
-	case outRequeue:
-		if f&flagQueued == 0 {
-			f |= flagQueued
-			sh.rqPush(a)
-		}
-	case outDefer:
-		if f&flagDeferred == 0 {
-			f |= flagDeferred
-			sh.heapPush(deferEntry{due: due, agent: a})
-		}
-	}
-	r.flags[a] = f
-	sh.mu.Unlock()
-	if f&(flagQueued|flagDeferred) == 0 {
-		if r.runnable.Add(-1) == 0 {
+	next, d := transition(r.state[a], out)
+	r.state[a] = next
+	switch next {
+	case stQueued:
+		sh.rqPush(a)
+	case stDeferred:
+		sh.heapPush(deferEntry{due: due, agent: a, gen: r.gen[a]})
+	default:
+		sh.mu.Unlock()
+		if r.runnable.Add(d) == 0 {
+			r.drained.Store(true)
 			r.halt()
 		}
+		return
 	}
+	r.unlockAndWake(sh)
 }
 
 // handle serves one mailbox message for agent a.
@@ -359,8 +343,7 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		r.awaiting[a] = false
 		r.rejections.Add(1)
 		r.opts.Probe.Add(obs.CounterExchBusy, 1)
-		// Admission control: the AIMD window (runtime.AIMD — the same
-		// controller the goroutine runtime parks a timer on) becomes a
+		// Admission control: the AIMD window (runtime.AIMD) becomes a
 		// virtual-tick deadline before which this agent may serve but
 		// not re-initiate.
 		window := r.backoff[a].OnRejected()
@@ -397,16 +380,16 @@ func (r *run[T]) reseed(a int32, rng *engine.FastRand) {
 }
 
 // initiate spends one op on a push-pull exchange attempt by agent a.
-func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
+func (r *run[T]) initiate(a int32, rng *engine.FastRand) (schedEvent, int64) {
 	lo, hi := r.nbrOff[a], r.nbrOff[a+1]
 	if lo == hi {
-		return outPark, 0 // isolated agent: nothing to gossip with, ever
+		return evPark, 0 // isolated agent: nothing to gossip with, ever
 	}
 	n := r.ops.Add(1)
 	if n > int64(r.opts.MaxOps) {
 		r.ops.Add(-1)
 		r.budgetOut.Store(true)
-		return outPark, 0
+		return evPark, 0
 	}
 	r.advance(n)
 	if r.ap != nil && n >= r.nextEpochAt.Load() {
@@ -419,17 +402,17 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 	r.reseed(a, rng)
 	pick := r.nbrs[int(lo)+rng.Intn(int(hi-lo))]
 	if !r.es.EdgeIsUp(int(pick.edge)) {
-		return outRequeue, 0 // dynamics masked the link this epoch
+		return evRequeue, 0 // dynamics masked the link this epoch
 	}
 	if p := r.opts.LinkUpProbability; p < 1 && rng.Float64() >= p {
-		return outRequeue, 0 // link down for this attempt
+		return evRequeue, 0 // link down for this attempt
 	}
 	if f := r.opts.Faults; f != nil {
 		if f.LossP > 0 && rng.Float64() < f.LossP {
 			// Lost in transit: the initiation is spent, nothing happens.
 			r.lost.Add(1)
 			r.opts.Probe.Add(obs.CounterExchLost, 1)
-			return outRequeue, 0
+			return evRequeue, 0
 		}
 		if f.DelayMax > 0 {
 			// In-flight delay: commit to the send at a future tick; the
@@ -438,27 +421,26 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 			due := r.vnow.Load() + d
 			r.sendTo[a] = pick.agent
 			r.sendDue[a] = due
-			return outDefer, due
+			return evDefer, due
 		}
 	}
 	r.awaiting[a] = true
 	r.deliver(pick.agent, message[T]{from: a, kind: msgRequest, state: r.states[a]})
-	return outPark, 0
+	return evPark, 0
 }
 
 // maybeCheckQuiescence runs the rate-limited convergence check: only
-// when some agent adopted since the last check AND at least CheckEvery
+// when some agent adopted since the last check AND at least checkEvery
 // initiations have passed since it. Checks stay event-driven and
-// op-bounded — never more than one per adoption, the PR 2 sleep-poll
-// lesson — but a 10⁵-agent run does not pay an O(N log N) board snapshot
-// per event the way the goroutine runtime's per-nudge detector could
-// afford to at 10³.
+// op-bounded — never more than one per adoption, so the check count never
+// grows with wall-clock time — but a 10⁵-agent run does not pay an
+// O(N log N) board snapshot per event.
 func (r *run[T]) maybeCheckQuiescence() {
 	ad := r.adoptions.Load()
 	if ad == r.checkedAdopt.Load() {
 		return
 	}
-	if r.ops.Load()-r.lastCheckOps.Load() < int64(r.opts.CheckEvery) {
+	if r.ops.Load()-r.lastCheckOps.Load() < r.checkEvery {
 		return
 	}
 	if !r.checkMu.TryLock() {
@@ -513,17 +495,7 @@ func (r *run[T]) barrier() {
 	// Wake sleepers so they come park; a worker about to sleep re-checks
 	// sp.want after publishing sleeping, so none can miss this.
 	for s := range r.shards {
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		wake := sh.sleeping
-		sh.sleeping = false
-		sh.mu.Unlock()
-		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
-		}
+		r.shards[s].wakeIfSleeping()
 	}
 	for sp.parked+sp.exited < len(r.shards)-1 && !r.stop.Load() {
 		sp.cond.Wait()
@@ -604,7 +576,8 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 	n := len(r.states)
 	for a := n0; a < n; a++ {
 		r.frozenVals = append(r.frozenVals, r.states[a])
-		r.flags = append(r.flags, 0)
+		r.state = append(r.state, stIdle)
+		r.gen = append(r.gen, 0)
 		r.seedBase = append(r.seedBase, engine.AgentSeed(r.opts.Seed, a))
 		r.eventSeq = append(r.eventSeq, 0)
 		r.awaiting = append(r.awaiting, false)

@@ -1,9 +1,9 @@
 package sched
 
-// Message kinds of the push-pull/busy-guard protocol, unchanged from the
-// goroutine runtime: a request carries the initiator's state to the
-// partner; an OK reply carries the initiator's half of the PairStep back;
-// a busy reply carries no state and rejects the exchange.
+// Message kinds of the push-pull/busy-guard protocol: a request carries
+// the initiator's state to the partner; an OK reply carries the
+// initiator's half of the PairStep back; a busy reply carries no state
+// and rejects the exchange.
 type msgKind uint8
 
 const (

@@ -1,8 +1,9 @@
-// Package sched is the scale realization of the paper's §4.5 remark: the
-// same asynchronous push-pull/busy-guard exchange protocol as
-// internal/runtime, executed by a sharded event-loop actor scheduler
-// instead of one goroutine per agent, so 10⁵–10⁶ agents cost P worker
-// goroutines and zero per-exchange allocations.
+// Package sched is the repository's asynchronous runtime, the realization
+// of the paper's §4.5 remark that the step relation "can be easily
+// implemented by asynchronous message passing": a push-pull/busy-guard
+// exchange protocol executed by a sharded event-loop actor scheduler, so
+// 10⁵–10⁶ agents cost P worker goroutines and zero per-exchange
+// allocations.
 //
 // Architecture:
 //
@@ -13,11 +14,12 @@
 //     allocation — plus a FIFO run queue and a deferred min-heap, and is
 //     drained by one worker goroutine. Workers whose queue runs dry
 //     steal runnable agents from other shards (one agent per steal, so
-//     every scheduling-flag mutation happens under the agent's home
-//     shard lock).
+//     every scheduling-state transition happens under the agent's home
+//     shard lock). Each agent is idle, queued, deferred or running —
+//     exactly one at a time, so exactly one worker can claim it; see
+//     agentState for the transition table.
 //
-//   - Time is virtual: the global initiation counter. The goroutine
-//     runtime parks a busy-rejected agent on a timer; here the same AIMD
+//   - Time is virtual: the global initiation counter. The busy-backoff
 //     controller (runtime.AIMD — multiplicative increase on rejection,
 //     additive decrease on success, rejection-rate-scaled ceiling) is
 //     ADMISSION CONTROL: the rejected agent is pushed on its home
@@ -45,9 +47,7 @@
 //     O(1) reseeds, no per-agent generator state beyond a counter. With
 //     Workers=1 the whole run — pops, steals (none), deferrals,
 //     convergence checks — is a pure function of the seed, which is the
-//     semantic pin: the 1-worker golden plays the same role GOMAXPROCS(1)
-//     plays for the goroutine runtime, and it is byte-stable across steal
-//     settings because stealing cannot occur with one shard.
+//     semantic pin the 1-worker golden holds.
 //
 //   - Dynamics run at EPOCH SAFEPOINTS: every OpsPerEpoch initiations the
 //     crossing worker requests a stop-the-world pause, all workers park
@@ -58,9 +58,8 @@
 //     whose exchange half is in flight is DEFERRED until the reply is
 //     adopted, so the pair transition is never torn by a fault.
 //
-// Divergence from the goroutine runtime, by design: link availability is
-// a per-initiation Bernoulli draw on the initiator's stream rather than a
-// globally refreshed link table (an O(E) refresh every 16 initiations
+// Link availability is a per-initiation Bernoulli draw on the initiator's
+// stream rather than a globally refreshed link table (an O(E) refresh
 // does not scale to 10⁶ edges), and a system with no runnable agent —
 // islands, everyone crashed, budget drained — terminates immediately
 // instead of waiting out the wall-clock timeout.
@@ -115,16 +114,6 @@ type Options struct {
 	// OpsPerEpoch is the epoch length in initiations (default N): the
 	// sched analogue of a round for Dynamics schedules.
 	OpsPerEpoch int
-	// NoSteal disables work stealing (a worker then only drains its own
-	// shard). Scheduling policy only: with Workers=1 results are
-	// byte-identical either way, which the golden pins.
-	NoSteal bool
-	// CheckEvery rate-limits quiescence checks: the board is re-examined
-	// only after at least CheckEvery initiations since the last check
-	// (default max(64, N/2)), and only when some agent adopted since.
-	// Checks stay event-driven and op-bounded — at most one per adoption —
-	// but a 10⁵-agent run does not pay an O(N log N) snapshot per event.
-	CheckEvery int
 	// Probe records the exchange lifecycle and the scheduler's own
 	// counters (enqueues, queue-depth samples, steals, admissions, parks)
 	// on the observability layer. Counters only; never consulted for
@@ -136,8 +125,8 @@ type Options struct {
 // Run executes problem p over graph g from the given initial states on
 // the sharded event-loop scheduler until the observed state multiset
 // equals the (possibly join-extended) target or a budget is exhausted.
-// It returns the same Result type as the goroutine runtime so the two
-// async engines are directly comparable.
+// A run that drains — stops because no agent is left to run — while
+// some agent could still have acted is reported in Violations.
 func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*runtime.Result[T], error) {
 	clk := obs.NewWallClock()
 	start := clk.Now()
@@ -176,12 +165,6 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	}
 	if opts.OpsPerEpoch <= 0 {
 		opts.OpsPerEpoch = n
-	}
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = n / 2
-		if opts.CheckEvery < 64 {
-			opts.CheckEvery = 64
-		}
 	}
 	if opts.Faults != nil {
 		if err := opts.Faults.Validate(); err != nil {
@@ -261,7 +244,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 		rep := r.ap.Report()
 		res.Dynamics = &rep
 	}
-	res.Violations = mon.Violations()
+	res.Violations = append(mon.Violations(), r.audit()...)
 	res.Elapsed = time.Duration(clk.Now() - start)
 	return res, nil
 }
@@ -295,14 +278,16 @@ type run[T any] struct {
 	shards    []shard[T]
 	blockSize int // founding block size: agent a homes on shard min(a/blockSize, P-1)
 
-	// Agent arrays, indexed by id. Scheduling flags live in flags under
-	// the home shard lock; everything else is owned by the worker
-	// currently processing the agent (ownership transfers through the
-	// queue locks) or by the safepoint requester (all workers parked).
+	// Agent arrays, indexed by id. The scheduling state and its heap
+	// generation live under the home shard lock; everything else is owned
+	// by the worker currently processing the agent (ownership transfers
+	// through the queue locks) or by the safepoint requester (all workers
+	// parked).
 	states       []T
 	initVals     []T // founding + joiners, the amnesiac reset source
 	frozenVals   []T
-	flags        []uint8
+	state        []agentState
+	gen          []uint32 // bumped when a delivery strands a heap entry
 	seedBase     []int64
 	eventSeq     []uint32
 	awaiting     []bool
@@ -334,9 +319,11 @@ type run[T any] struct {
 	nextEpochAt atomic.Int64
 	epoch       int // next epoch to apply; safepoint-requester-owned
 
-	// runnable counts agents that are queued, deferred, or running; the
-	// transition to zero means nothing can ever happen again.
+	// runnable counts agents that are not idle; the transition to zero
+	// means nothing can ever happen again, and drained records that the
+	// run stopped for that reason.
 	runnable atomic.Int64
+	drained  atomic.Bool
 
 	properSteps atomic.Int64
 	rejections  atomic.Int64
@@ -344,8 +331,13 @@ type run[T any] struct {
 	steals      atomic.Int64
 	checks      atomic.Int64
 
-	// Observation board and quiescence-check state.
+	// Observation board and quiescence-check state. A check runs only
+	// after checkEvery = max(64, N/2) initiations since the last one, and
+	// only when some agent adopted since: checks stay event-driven and
+	// op-bounded — at most one per adoption — but a 10⁵-agent run does
+	// not pay an O(N log N) snapshot per event.
 	board        []boardSlot[T]
+	checkEvery   int64
 	adoptions    atomic.Int64
 	checkedAdopt atomic.Int64 // adoptions count consumed by the last check
 	lastCheckOps atomic.Int64
@@ -375,7 +367,9 @@ func (r *run[T]) setup(n int) {
 	r.shards = make([]shard[T], P)
 	r.states = append([]T(nil), r.initVals[:n]...)
 	r.frozenVals = make([]T, n)
-	r.flags = make([]uint8, n)
+	r.state = make([]agentState, n)
+	r.gen = make([]uint32, n)
+	r.checkEvery = int64(max(64, n/2))
 	r.seedBase = make([]int64, n)
 	r.eventSeq = make([]uint32, n)
 	r.awaiting = make([]bool, n)
@@ -422,7 +416,7 @@ func (r *run[T]) setup(n int) {
 			sh.runq = make([]int32, c)
 		}
 		for a := sh.lo; a < sh.hi; a++ {
-			r.flags[a] = flagQueued
+			r.state[a] = stQueued
 			sh.rqPush(int32(a))
 		}
 		if cap(sh.deferred) == 0 {
@@ -531,21 +525,44 @@ func (r *run[T]) home(a int32) *shard[T] {
 func (r *run[T]) halt() {
 	r.stop.Store(true)
 	for s := range r.shards {
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		wake := sh.sleeping
-		sh.sleeping = false
-		sh.mu.Unlock()
-		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
-		}
+		r.shards[s].wakeIfSleeping()
 	}
 	r.sp.mu.Lock()
 	r.sp.cond.Broadcast()
 	r.sp.mu.Unlock()
+}
+
+// audit checks the scheduler's own bookkeeping once every worker has
+// exited. runnable must count exactly the agents that are not idle — the
+// count decides termination, so a mismatch is an ownership breach and
+// panics. A run that drained (stopped because no agent was left to run)
+// must have had nothing left to do: no agent awaiting a reply, every
+// mailbox empty, and, unless the budget was spent, every agent crashed
+// or isolated. Anything else is a lost wakeup, reported as a violation.
+func (r *run[T]) audit() []string {
+	live := int64(0)
+	for _, s := range r.state {
+		if s != stIdle {
+			live++
+		}
+	}
+	if n := r.runnable.Load(); n != live {
+		panic(fmt.Sprintf("sched: runnable = %d but %d agents are not idle", n, live))
+	}
+	if !r.drained.Load() {
+		return nil
+	}
+	for a := range r.state {
+		switch {
+		case r.awaiting[a]:
+			return []string{fmt.Sprintf("sched: drained with agent %d awaiting a reply", a)}
+		case r.rings[a].head != r.rings[a].tail:
+			return []string{fmt.Sprintf("sched: drained with %d undelivered messages for agent %d", r.rings[a].tail-r.rings[a].head, a)}
+		case !r.budgetOut.Load() && !r.crashed[a] && r.nbrOff[a] != r.nbrOff[a+1]:
+			return []string{fmt.Sprintf("sched: drained after %d of %d initiations with agent %d still able to initiate", r.ops.Load(), r.opts.MaxOps, a)}
+		}
+	}
+	return nil
 }
 
 // post publishes agent a's newly adopted state on the observation board.

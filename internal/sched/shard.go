@@ -2,31 +2,116 @@ package sched
 
 import "sync"
 
-// Agent scheduling flags, protected by the agent's HOME shard lock. An
-// agent's home shard never changes (joiners home on the last shard, the
-// engine.Shards append convention), so there is exactly one lock per
-// agent's scheduling state and stealing cannot race it: a thief locks the
-// victim shard — the home of every agent in the victim's queue — for the
-// pop, and ownership of the agent's non-scheduling state (value, stream
-// epoch, backoff controller) transfers through that critical section.
+// agentState is an agent's scheduling state, protected by the agent's
+// HOME shard lock. An agent's home shard never changes (joiners home on
+// the last shard, the engine.Shards append convention), so there is
+// exactly one lock per agent's scheduling state and stealing cannot race
+// it: a thief locks the victim shard — the home of every agent in the
+// victim's queue — for the pop, and ownership of the agent's
+// non-scheduling state (value, stream epoch, backoff controller)
+// transfers through that critical section.
+//
+// An agent is in exactly one of four states — idle, queued, deferred,
+// running — so exactly one worker can claim it. transition is the whole
+// machine ("—" panics; runnable counts the agents that are not idle and
+// changes only on the idle ↔ non-idle edges):
+//
+//	state      deliver           pop queue  pop heap  park       requeue  defer
+//	idle       queued (+1)       —          —         —          —        —
+//	queued     queued            running    —         —          —        —
+//	deferred   queued, gen++     —          running   —          —        —
+//	running    running+pending   —          —         idle (−1)  queued   deferred
+//	+pending   running+pending   —          —         queued     queued   queued
+//
+// A delivery to a deferred agent leaves its heap entry in place but bumps
+// the agent's generation, so the entry is recognised as stale and dropped
+// when popped instead of dispatching the agent a second time. A message
+// that arrives mid-run sets the pending bit, and the finishing worker
+// requeues the agent whatever it asked for, so the message is served.
+type agentState uint8
+
 const (
-	// flagQueued: the agent sits in its home run queue.
-	flagQueued uint8 = 1 << iota
-	// flagDeferred: the agent has an entry in its home deferred heap.
-	flagDeferred
-	// flagRunning: a worker is processing the agent right now.
-	flagRunning
-	// flagRepoll: a message arrived while the agent was running; the
-	// finishing worker must requeue it so the message is served.
-	flagRepoll
+	stIdle agentState = iota
+	stQueued
+	stDeferred
+	stRunning
+	// stPending is set on stRunning when a message arrives mid-run.
+	stPending agentState = 1 << 2
 )
+
+// schedEvent is one input to the agent state machine.
+type schedEvent uint8
+
+const (
+	// evDeliver: a message or a safepoint wake arrives for the agent.
+	evDeliver schedEvent = iota
+	// evPopQueue: a worker pops the agent off its home run queue.
+	evPopQueue
+	// evPopHeap: a worker pops the agent's live deferred-heap entry.
+	evPopHeap
+	// evPark: the agent finished and waits for a delivery (a reply, a
+	// request, a wake); nothing re-runs it until one arrives.
+	evPark
+	// evRequeue: the agent finished and goes straight back on its run
+	// queue.
+	evRequeue
+	// evDefer: the agent finished and waits on its home deferred heap
+	// for a virtual deadline (admission control or a delayed send).
+	evDefer
+)
+
+// transition is the agent state machine: the state after event ev in
+// state s, and the change to runnable. An event a correct scheduler
+// cannot produce in s — popping an agent that is not queued, finishing
+// one that is not running — is an ownership breach and panics, like
+// mailbox overflow.
+//
+//det:hotpath
+func transition(s agentState, ev schedEvent) (agentState, int64) {
+	switch ev {
+	case evDeliver:
+		switch s {
+		case stIdle:
+			return stQueued, 1
+		case stQueued, stDeferred:
+			return stQueued, 0
+		default:
+			return s | stPending, 0
+		}
+	case evPopQueue:
+		if s != stQueued {
+			panic("sched: run-queue pop of an agent that is not queued (double dispatch)")
+		}
+		return stRunning, 0
+	case evPopHeap:
+		if s != stDeferred {
+			panic("sched: live heap entry for an agent that is not deferred (double dispatch)")
+		}
+		return stRunning, 0
+	}
+	if s&^stPending != stRunning {
+		panic("sched: finish of an agent that is not running")
+	}
+	switch {
+	case s&stPending != 0 || ev == evRequeue:
+		return stQueued, 0
+	case ev == evDefer:
+		return stDeferred, 0
+	default:
+		return stIdle, -1
+	}
+}
 
 // deferEntry is one admission-control deferral: agent may not act before
 // virtual time due (the global initiation counter). Ordered by (due,
 // agent) so the single-worker drain order is a pure function of the seed.
+// gen is the agent's generation when the entry was pushed; a delivery to
+// a deferred agent bumps the generation, so an entry whose gen no longer
+// matches is stale and is discarded when popped.
 type deferEntry struct {
 	due   int64
 	agent int32
+	gen   uint32
 }
 
 // shard owns a contiguous agent block [lo, hi): their mailboxes (one slab,
@@ -113,16 +198,13 @@ func (s *shard[T]) heapPush(e deferEntry) {
 	s.deferred = h
 }
 
-// heapPop removes and returns the earliest deferral; the bool is false
-// when the heap is empty. Caller holds mu.
+// heapPop removes and returns the earliest deferral of a non-empty heap.
+// Caller holds mu.
 //
 //det:hotpath
-func (s *shard[T]) heapPop() (deferEntry, bool) {
+func (s *shard[T]) heapPop() deferEntry {
 	h := s.deferred
 	n := len(h)
-	if n == 0 {
-		return deferEntry{}, false
-	}
 	top := h[0]
 	n--
 	h[0] = h[n]
@@ -144,7 +226,31 @@ func (s *shard[T]) heapPop() (deferEntry, bool) {
 		i = m
 	}
 	s.deferred = h
-	return top, true
+	return top
+}
+
+// wakeIfSleeping wakes the shard's worker if it is asleep, reporting
+// whether it was.
+func (s *shard[T]) wakeIfSleeping() bool {
+	s.mu.Lock()
+	wake := s.sleeping
+	s.sleeping = false
+	s.mu.Unlock()
+	if wake {
+		s.signal()
+	}
+	return wake
+}
+
+// signal hands the shard's worker its wake token. The caller cleared
+// sleeping under mu; the capacity-1 channel never blocks the sender.
+//
+//det:hotpath
+func (s *shard[T]) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 //det:hotpath

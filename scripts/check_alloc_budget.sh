@@ -12,11 +12,12 @@
 # and PairStep is allocation-free, so a 4096-agent run sits near 710
 # allocs/op, almost all setup — a regression to even one allocation per
 # matched pair would add ~65k and fail loudly. BenchmarkAsyncRuntimeMin
-# pins the asynchronous runtime after the reusable-reply-channel and
-# receptive-backoff fixes: it runs near 500 allocs/op (scheduling-noisy),
-# and the budget of 1200 is far below the ~4000 allocs/op the
-# per-exchange-channel implementation cost, so a regression to
-# O(exchanges) allocation fails loudly. BenchmarkSweepGrid pins the
+# pins one small run of the asynchronous runtime (the sched-backed
+# SimulateAsync, min on Ring(16)) set-up included: ~68 allocs/op, all
+# per-run set-up, since an exchange allocates nothing. Its budget of 1200
+# was set for the goroutine-per-agent runtime it used to measure and is
+# kept, so a regression to O(exchanges) allocation still fails loudly.
+# BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
 # per-run bookkeeping (~40 allocs/cell — Result, probe, env masks,
