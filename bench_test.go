@@ -285,6 +285,42 @@ func BenchmarkSimPairwiseQuiescent1e5(b *testing.B) {
 	b.ReportMetric(rounds, "rounds/op")
 }
 
+// BenchmarkSimPairwiseAverageWrites1e5 is the write-heavy twin of
+// BenchmarkSimPairwiseQuiescent1e5: pairwise Average from random values
+// on Ring(100_000) under churn 0.999, 4 state shards, 16 rounds per op on
+// a warm scratch. Nearly every matched pair writes, so every round stages
+// ~5·10⁴ keyed deltas, repairs every shard's tracker and recomputes the
+// monitor verdict. scripts/check_alloc_budget.sh pins allocs/op: a repair
+// or monitor that re-pays a scratch buffer per round adds at least 16 and
+// fails.
+func BenchmarkSimPairwiseAverageWrites1e5(b *testing.B) {
+	const rounds = 16
+	g := Ring(100_000)
+	rng := rand.New(rand.NewSource(11))
+	initial := make([]float64, g.N())
+	for i := range initial {
+		initial[i] = rng.Float64() * 1000
+	}
+	rc := engine.NewRunContext(0)
+	defer rc.Close()
+	sc := sim.NewScratch[float64](rc)
+	opts := Options{Seed: 1, MaxRounds: rounds, Mode: PairwiseMode, Shards: 4}
+	run := func() {
+		res, err := sim.RunWith(sc, problems.NewAverage(1e-6), EdgeChurn(g, 0.999), initial, opts)
+		if err != nil || res.Rounds != rounds || res.GroupSteps == 0 || len(res.Violations) != 0 {
+			b.Fatalf("write-heavy run failed: %v (rounds=%d steps=%d violations=%d)", err, res.Rounds, res.GroupSteps, len(res.Violations))
+		}
+	}
+	run() // warm the engine scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(rounds, "rounds/op")
+}
+
 // BenchmarkSimRoundProbed is the probes-ON twin of the round-scale
 // family: the same warm pairwise delta cell at N = 10⁵, 32 rounds per
 // op, with an obs.Probe (real clock, no trace sink) attached to every

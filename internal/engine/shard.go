@@ -19,9 +19,11 @@ import (
 // the engine-equivalence golden tests pin bit for bit.
 //
 // The scalability win is twofold. Deltas are STAGED per shard over a
-// whole round and each shard's tracker is repaired once per round — one
-// O(k log(n/P) + n/P) merge pass per shard instead of one O(n) pass per
-// group step, which is what makes 10⁶-agent rounds affordable. And the P
+// whole round, keyed by the agent's index within its block, and each
+// shard's tracker is repaired once per round — O(k log k) to sort the k
+// new values plus one O(n/P) merge pass per shard (the removed values are
+// found by key, never searched for) instead of one O(n) pass per group
+// step, which is what makes 10⁶-agent rounds affordable. And the P
 // repairs are independent, so Flush fans them out across the worker
 // pool.
 //
@@ -30,8 +32,14 @@ import (
 type Shards[T any] struct {
 	cmp       ms.Cmp[T]
 	blockSize int
-	trackers  []*ms.Tracker[T]
-	// Staged per-shard deltas for the current round, reused across rounds.
+	// lastLo is the first agent of the last shard: min((P-1)·blockSize,
+	// founding population). Every agent at or beyond it — joiners
+	// included — belongs to the last shard.
+	lastLo   int
+	trackers []*ms.Tracker[T]
+	// Staged per-shard deltas for the current round (tracker keys and
+	// parallel old/new values), reused across rounds.
+	keys       [][]int
 	olds, news [][]T
 	// views is reusable scratch for handing the shard views to the merger.
 	views  []ms.Multiset[T]
@@ -64,7 +72,9 @@ func NewShards[T any](cmp ms.Cmp[T], states []T, p int) *Shards[T] {
 	s := &Shards[T]{
 		cmp:       cmp,
 		blockSize: bs,
+		lastLo:    min((p-1)*bs, n),
 		trackers:  make([]*ms.Tracker[T], p),
+		keys:      make([][]int, p),
 		olds:      make([][]T, p),
 		news:      make([][]T, p),
 		views:     make([]ms.Multiset[T], p),
@@ -105,8 +115,10 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 	s.gen++
 	s.cmp = cmp
 	s.blockSize = bs
+	s.lastLo = min((p-1)*bs, n)
 	if len(s.trackers) != p {
 		s.trackers = make([]*ms.Tracker[T], p)
+		s.keys = make([][]int, p)
 		s.olds = make([][]T, p)
 		s.news = make([][]T, p)
 		s.views = make([]ms.Multiset[T], p)
@@ -129,6 +141,7 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 		} else {
 			s.trackers[i].Reset(cmp, states[lo:hi])
 		}
+		s.keys[i] = s.keys[i][:0]
 		s.olds[i] = s.olds[i][:0]
 		s.news[i] = s.news[i][:0]
 	}
@@ -138,15 +151,25 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 func (s *Shards[T]) P() int { return len(s.trackers) }
 
 // Owner returns the shard owning the given agent index. Agents appended
-// by population growth (indices at or beyond P·blockSize) clamp to the
-// last shard — the same grow-the-last-block rule graph.EdgePartition.Block
-// uses, so state sharding and edge blocking never disagree about an
-// agent's home.
+// by population growth clamp to the last shard — the same
+// grow-the-last-block rule graph.EdgePartition.Block uses, so state
+// sharding and edge blocking never disagree about an agent's home.
 func (s *Shards[T]) Owner(agent int) int {
-	if sh := agent / s.blockSize; sh < len(s.trackers) {
-		return sh
+	sh, _ := s.locate(agent)
+	return sh
+}
+
+// locate returns the shard owning the agent and the agent's key in that
+// shard's tracker: its offset from the shard's first agent. Agents at or
+// beyond lastLo belong to the last shard, which Append extends, so a
+// joiner's key is exactly the key its Append assigned — even when the
+// founding population left trailing shards empty.
+func (s *Shards[T]) locate(agent int) (sh, key int) {
+	if agent >= s.lastLo {
+		return len(s.trackers) - 1, agent - s.lastLo
 	}
-	return len(s.trackers) - 1
+	sh = agent / s.blockSize
+	return sh, agent - sh*s.blockSize
 }
 
 // Append admits joining agents: their states are appended to the LAST
@@ -171,12 +194,13 @@ func (s *Shards[T]) Append(vals []T) {
 func (s *Shards[T]) Gen() uint64 { return s.gen }
 
 // Stage records that the given agent's state changed old → new this
-// round. The delta is routed to the owning shard and applied at the next
-// Flush; each agent may be staged at most once per round (groups are
-// disjoint), and old must be the value the shard currently tracks for the
-// agent.
+// round. The delta is routed to the owning shard under the agent's key
+// there and applied at the next Flush; each agent may be staged at most
+// once per flush (groups are disjoint), and old must be the value the
+// shard currently tracks for the agent — Flush panics otherwise.
 func (s *Shards[T]) Stage(agent int, oldV, newV T) {
-	sh := s.Owner(agent)
+	sh, key := s.locate(agent)
+	s.keys[sh] = append(s.keys[sh], key)
 	s.olds[sh] = append(s.olds[sh], oldV)
 	s.news[sh] = append(s.news[sh], newV)
 }
@@ -200,7 +224,8 @@ func (s *Shards[T]) Flush(pool *Pool) {
 	}
 	s.gen++
 	pool.DoAll(len(s.trackers), func(_, i int) {
-		s.trackers[i].Replace(s.olds[i], s.news[i])
+		s.trackers[i].Repair(s.keys[i], s.olds[i], s.news[i])
+		s.keys[i] = s.keys[i][:0]
 		s.olds[i] = s.olds[i][:0]
 		s.news[i] = s.news[i][:0]
 	})

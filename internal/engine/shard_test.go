@@ -31,19 +31,20 @@ func TestShardsViewMatchesTracker(t *testing.T) {
 		}
 		for round := 0; round < 10; round++ {
 			// Mutate a random subset of agents (each at most once).
-			var olds, news []int
+			var keys, olds, news []int
 			for a := 0; a < n; a++ {
 				if rng.Intn(3) != 0 {
 					continue
 				}
 				nv := rng.Intn(20)
 				sh.Stage(a, states[a], nv)
+				keys = append(keys, a)
 				olds = append(olds, states[a])
 				news = append(news, nv)
 				states[a] = nv
 			}
 			sh.Flush(pool)
-			tr.Replace(olds, news)
+			tr.Repair(keys, olds, news)
 			if got, want := sh.View(), tr.View(); !got.Equal(want) {
 				t.Fatalf("trial %d round %d: sharded view %v != tracker %v (p=%d)",
 					trial, round, got, want, p)
@@ -82,6 +83,40 @@ func TestShardsOwnerCoversAllAgents(t *testing.T) {
 	}
 }
 
+// TestShardsGrowthKeys: joiners are appended to the last shard and must
+// be staged there under the keys Append gave them — also when the
+// founding population leaves trailing shards empty (5 agents in 4 blocks
+// of 2 fill only three), where dividing by the block size would route
+// agent 5 to shard 2.
+func TestShardsGrowthKeys(t *testing.T) {
+	cmp := ms.OrderedCmp[int]()
+	pool := NewPool(1, 1)
+	defer pool.Close()
+	for _, c := range []struct{ n, p int }{{5, 4}, {8, 4}, {0, 3}, {7, 1}} {
+		states := make([]int, c.n)
+		for i := range states {
+			states[i] = 10 * i
+		}
+		sh := NewShards(cmp, states, c.p)
+		joined := []int{7, 3}
+		sh.Append(joined)
+		states = append(states, joined...)
+		for a := c.n; a < len(states); a++ {
+			if o := sh.Owner(a); o != sh.P()-1 {
+				t.Fatalf("n=%d p=%d: joiner %d owned by shard %d, want the last (%d)", c.n, c.p, a, o, sh.P()-1)
+			}
+		}
+		for a := range states {
+			sh.Stage(a, states[a], states[a]+1)
+			states[a]++
+		}
+		sh.Flush(pool)
+		if got, want := sh.View(), ms.New(cmp, states...); !got.Equal(want) {
+			t.Fatalf("n=%d p=%d: view %v, want %v", c.n, c.p, got, want)
+		}
+	}
+}
+
 // TestObserveRoundShardedMatchesUnsharded: the sharded monitor reduction
 // must produce the same h values and the same (absence of) violations as
 // the unsharded ObserveRound across the super-idempotent problems.
@@ -108,7 +143,7 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 				m := min(work[a], work[b])
 				sh.Stage(a, work[a], m)
 				sh.Stage(b, work[b], m)
-				tr.Replace([]int{work[a], work[b]}, []int{m, m})
+				tr.Repair([]int{a, b}, []int{work[a], work[b]}, []int{m, m})
 				work[a], work[b] = m, m
 				sh.Flush(pool)
 			}

@@ -19,9 +19,13 @@ package multiset
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/bitset"
 )
 
 // Cmp is a three-way comparison over element type T. It must define a total
@@ -41,7 +45,7 @@ type Multiset[T any] struct {
 	// own their storage; the exceptions are View and Tracker.View, which
 	// deliberately alias caller- or tracker-owned buffers for the engine
 	// hot path — such views are invalidated by the next mutation of the
-	// underlying buffer (Tracker.Replace recycles its old array as merge
+	// underlying buffer (Tracker.Repair recycles its old array as merge
 	// scratch) and must not be retained across it.
 	elems []T
 }
@@ -269,137 +273,310 @@ func View[T any](cmp Cmp[T], sorted []T) Multiset[T] {
 	return Multiset[T]{cmp: cmp, elems: sorted}
 }
 
-// Tracker maintains the canonically sorted multiset of a population of
-// values that mutates in small increments — the engine-side "incremental
-// snapshot". Where ms.New costs an allocation plus an O(n log n) sort per
-// call, a Tracker owns one sorted buffer for the lifetime of a run and
-// Replace repairs it after a group step using O(k log n) comparisons (k =
-// changed values) and a single linear merge pass, allocating nothing once
-// its scratch buffers have grown to a steady state.
+// Tracker maintains the canonically sorted multiset of a keyed population
+// of values that mutates in small increments — the engine-side
+// "incremental snapshot". Every element carries a key: the index of its
+// agent within the tracked block (NewTracker and Reset key elements by
+// input position, Append assigns the next keys). The tracker keeps, next
+// to the sorted values, owner[i] (the key of the i-th sorted element) and
+// slot[key] (where that key's element sits), so a repair never searches
+// for a value it already knows the position of.
+//
+// Ties are ordered by key, which is exactly the order NewTracker's stable
+// sort gives them: after any sequence of repairs the view is element for
+// element the one a fresh NewTracker over the positional states would
+// build. Where ms.New costs an allocation plus an O(n log n) sort per
+// call, Repair costs O(k log k) to sort the k new values, O(k log(n/k))
+// comparisons to place them, and one index-only merge pass over the n
+// slots, allocating nothing once its scratch has grown to a steady state.
 type Tracker[T any] struct {
 	cmp   Cmp[T]
-	elems []T // sorted by cmp
-	// Reusable scratch: sorted copies of the change set, removal indices,
-	// insertion positions, and the merge output buffer (swapped with elems).
-	oldBuf, newBuf []T
-	remIdx, insPos []int
-	mergeBuf       []T
+	elems []T     // sorted by (cmp, key)
+	owner []int32 // owner[i] is the key of elems[i]
+	slot  []int32 // slot[key] is the index of key's element in elems
+	// Reusable repair scratch: the removed slots (all clear between
+	// repairs), the keyed new values sorted by (cmp, key), their insertion
+	// positions, and the merge output (swapped with elems and owner).
+	dead     bitset.Set
+	ins      []keyed[T]
+	insPos   []int32
+	mergeBuf []T
+	ownerBuf []int32
+	// byKey orders keyed values by (cmp, key), and byPos orders the keys
+	// of the population being loaded (loadSrc) the same way; both are built
+	// once per tracker, so neither a repair nor a Reset allocates a closure.
+	byKey   func(a, b keyed[T]) int
+	byPos   func(a, b int32) int
+	loadSrc []T
 	// gen counts the mutations of elems (see Gen).
 	gen uint64
 }
 
-// NewTracker builds a Tracker over a copy of the given population.
+// keyed is a tracked value with its key.
+type keyed[T any] struct {
+	v T
+	k int32
+}
+
+// NewTracker builds a Tracker over a copy of the given population; the
+// element at input position i gets key i.
 func NewTracker[T any](cmp Cmp[T], elems []T) *Tracker[T] {
-	own := make([]T, len(elems))
-	copy(own, elems)
-	slices.SortStableFunc(own, cmp)
-	return &Tracker[T]{cmp: cmp, elems: own}
+	t := &Tracker[T]{}
+	t.byKey = func(a, b keyed[T]) int {
+		if c := t.cmp(a.v, b.v); c != 0 {
+			return c
+		}
+		return int(a.k) - int(b.k)
+	}
+	t.byPos = func(a, b int32) int {
+		if c := t.cmp(t.loadSrc[a], t.loadSrc[b]); c != 0 {
+			return c
+		}
+		return int(a) - int(b)
+	}
+	t.load(cmp, elems)
+	return t
 }
 
 // Reset rebinds the tracker to a fresh population, reusing its sorted
 // buffer and scratch (they grow to the new size only if needed). The
-// resulting state is identical to NewTracker(cmp, elems) — same stable
-// sort, same canonical order — so a tracker handed from one run to the
-// next (the scenario-sweep warm-engine contract) is observationally a
-// new one. Any views of the previous population are invalidated.
+// resulting state is identical to NewTracker(cmp, elems) — same keys,
+// same canonical order — so a tracker handed from one run to the next
+// (the scenario-sweep warm-engine contract) is observationally a new
+// one. Any views of the previous population are invalidated.
 func (t *Tracker[T]) Reset(cmp Cmp[T], elems []T) {
 	t.gen++
+	t.load(cmp, elems)
+}
+
+// load sorts elems into the tracker, keyed by input position: owner
+// starts as the identity and is sorted by (cmp, key) in place, so a load
+// needs no buffer beyond the tracker's own arrays.
+func (t *Tracker[T]) load(cmp Cmp[T], elems []T) {
+	n := len(elems)
+	if n > math.MaxInt32 {
+		panic("multiset.Tracker: population exceeds the int32 key space")
+	}
 	t.cmp = cmp
-	t.elems = append(t.elems[:0], elems...)
-	slices.SortStableFunc(t.elems, cmp)
+	t.owner = slices.Grow(t.owner[:0], n)[:n]
+	for i := range t.owner {
+		t.owner[i] = int32(i)
+	}
+	t.loadSrc = elems
+	slices.SortFunc(t.owner, t.byPos)
+	t.loadSrc = nil
+	t.elems = slices.Grow(t.elems[:0], n)
+	t.slot = slices.Grow(t.slot[:0], n)[:n]
+	for i, k := range t.owner {
+		t.elems = append(t.elems, elems[k])
+		t.slot[k] = int32(i)
+	}
+	if t.dead.Len() < n {
+		t.dead = bitset.New(n)
+	}
 }
 
 // Len reports the tracked population size.
 func (t *Tracker[T]) Len() int { return len(t.elems) }
 
 // Gen returns the tracker's generation: a counter bumped by every Reset
-// and every non-empty Replace (hence every non-empty Append). Two equal
-// readings bracket no mutation, so a verdict computed on the view at one
-// reading still describes the view at the other — the license the round
-// loop's cached monitor verdict relies on. A non-empty Replace bumps it
-// even when the multiset comes out unchanged; that costs a recomputation,
-// never a stale verdict.
+// and every non-empty Repair or Append. Two equal readings bracket no
+// mutation, so a verdict computed on the view at one reading still
+// describes the view at the other — the license the round loop's cached
+// monitor verdict relies on. A non-empty Repair bumps it even when the
+// multiset comes out unchanged; that costs a recomputation, never a stale
+// verdict.
 func (t *Tracker[T]) Gen() uint64 { return t.gen }
 
 // View returns the current multiset as a zero-copy view. The view is
-// invalidated by the next Replace; callers that retain it across mutations
-// must copy it first (Multiset.Elements or ms.New).
+// invalidated by the next Repair or Append; callers that retain it across
+// mutations must copy it first (Multiset.Elements or ms.New).
 func (t *Tracker[T]) View() Multiset[T] { return Multiset[T]{cmp: t.cmp, elems: t.elems} }
 
-// Replace removes one occurrence of every value in olds and inserts every
-// value in news, repairing sorted order incrementally. It panics when an
-// old value is not present — a corrupted snapshot would silently poison
-// every downstream monitor, so the failure is loud. olds and news may have
-// different lengths and are not mutated.
-func (t *Tracker[T]) Replace(olds, news []T) {
-	if len(olds) == 0 && len(news) == 0 {
+// Repair sets the value of every key in keys from olds[i] to news[i]
+// (parallel slices, not mutated), repairing sorted order incrementally:
+// the removed slots are found through slot and marked dead, only the new
+// values are sorted, a galloping search places them, and one merge pass
+// rewrites elems, owner and slot. It panics — leaving the tracker
+// unchanged — when the slices differ in length, a key is out of range or
+// repeats, or the tracked value of a key is not cmp-equal to its staged
+// old: a corrupted snapshot would silently poison every downstream
+// monitor, so a delta staged for the wrong agent fails loudly.
+//
+//det:hotpath
+func (t *Tracker[T]) Repair(keys []int, olds, news []T) {
+	if len(olds) != len(keys) || len(news) != len(keys) {
+		panic("multiset.Tracker.Repair: keys, olds and news differ in length")
+	}
+	if len(keys) == 0 {
 		return
 	}
+	for i, key := range keys {
+		if key < 0 || key >= len(t.slot) {
+			t.unmark(keys[:i])
+			panic("multiset.Tracker.Repair: key out of range")
+		}
+		s := int(t.slot[key])
+		if t.dead.Get(s) {
+			t.unmark(keys[:i])
+			panic("multiset.Tracker.Repair: key repeats")
+		}
+		if t.cmp(t.elems[s], olds[i]) != 0 {
+			t.unmark(keys[:i])
+			panic("multiset.Tracker.Repair: old value is not the key's tracked value")
+		}
+		t.dead.Set(s)
+	}
 	t.gen++
-	t.oldBuf = append(t.oldBuf[:0], olds...)
-	t.newBuf = append(t.newBuf[:0], news...)
-	slices.SortFunc(t.oldBuf, t.cmp)
-	slices.SortFunc(t.newBuf, t.cmp)
-
-	// Locate removal indices: for a run of c equal old values, claim the
-	// first c slots of that value's range in elems (all slots of an equal
-	// run are interchangeable under cmp). O(k log n).
-	t.remIdx = t.remIdx[:0]
-	for i := 0; i < len(t.oldBuf); {
-		v := t.oldBuf[i]
-		run := 1
-		for i+run < len(t.oldBuf) && t.cmp(t.oldBuf[i+run], v) == 0 {
-			run++
-		}
-		lo := sort.Search(len(t.elems), func(j int) bool { return t.cmp(t.elems[j], v) >= 0 })
-		for r := 0; r < run; r++ {
-			idx := lo + r
-			if idx >= len(t.elems) || t.cmp(t.elems[idx], v) != 0 {
-				panic("multiset.Tracker.Replace: old value not present")
-			}
-			t.remIdx = append(t.remIdx, idx)
-		}
-		i += run
+	t.ins = t.ins[:0]
+	for i, key := range keys {
+		t.ins = append(t.ins, keyed[T]{v: news[i], k: int32(key)})
 	}
-
-	// Locate insertion positions (lower bound in the ORIGINAL coordinate
-	// system; removals and insertions are then interleaved in one pass).
-	t.insPos = t.insPos[:0]
-	for _, v := range t.newBuf {
-		t.insPos = append(t.insPos,
-			sort.Search(len(t.elems), func(j int) bool { return t.cmp(t.elems[j], v) >= 0 }))
-	}
-
-	// Single merge pass: copy surviving elements, skip removed indices,
-	// emit inserted values at their positions. Index comparisons only — no
-	// further cmp calls.
-	out := t.mergeBuf[:0]
-	ri, ni := 0, 0
-	for i := 0; i <= len(t.elems); i++ {
-		for ni < len(t.insPos) && t.insPos[ni] == i {
-			out = append(out, t.newBuf[ni])
-			ni++
-		}
-		if i == len(t.elems) {
-			break
-		}
-		if ri < len(t.remIdx) && t.remIdx[ri] == i {
-			ri++
-			continue
-		}
-		out = append(out, t.elems[i])
-	}
-	t.mergeBuf = t.elems[:0]
-	t.elems = out
+	t.merge(len(keys))
 }
 
-// Append inserts the given values into the tracked multiset — the
-// population-growth path: joining agents extend the bag without touching
-// any existing element, so incremental snapshots (and any positional
-// bookkeeping keyed to existing agents) stay valid. It is Replace with an
-// empty removal set; sorted order is repaired by the same O(k log n)
-// merge.
-func (t *Tracker[T]) Append(vals []T) { t.Replace(nil, vals) }
+// unmark clears the dead marks of keys validated before a Repair panics.
+func (t *Tracker[T]) unmark(keys []int) {
+	for _, key := range keys {
+		t.dead.Clear(int(t.slot[key]))
+	}
+}
+
+// Append inserts the given values into the tracked multiset under the
+// next keys (Len(), Len()+1, …) — the population-growth path: joining
+// agents extend the bag without touching any existing element or key, so
+// positional bookkeeping keyed to existing agents stays valid. Sorted
+// order is repaired by the same placement and merge as Repair.
+func (t *Tracker[T]) Append(vals []T) {
+	if len(vals) == 0 {
+		return
+	}
+	base := len(t.slot)
+	if base+len(vals) > math.MaxInt32 {
+		panic("multiset.Tracker.Append: population exceeds the int32 key space")
+	}
+	t.gen++
+	t.ins = t.ins[:0]
+	for i, v := range vals {
+		t.ins = append(t.ins, keyed[T]{v: v, k: int32(base + i)})
+		t.slot = append(t.slot, -1) // rewritten by merge
+	}
+	t.merge(0)
+	if t.dead.Len() < len(t.elems) {
+		t.dead = bitset.New(len(t.elems) + len(t.elems)/4)
+	}
+}
+
+// merge folds the staged t.ins into the sorted buffer, dropping the
+// removed slots marked dead and clearing their marks. Insertion positions are
+// lower bounds in the ORIGINAL coordinates (dead slots still hold their
+// old values, so the order they are searched in is intact); the merge
+// then compares indices only, copying the unchanged runs between change
+// points in bulk and rewriting slot only for runs that moved.
+//
+//det:hotpath
+func (t *Tracker[T]) merge(removed int) {
+	slices.SortFunc(t.ins, t.byKey)
+	t.insPos = t.insPos[:0]
+	pos := 0
+	for _, e := range t.ins {
+		pos = t.gallop(pos, e.v, e.k)
+		t.insPos = append(t.insPos, int32(pos))
+	}
+	size := len(t.elems) - removed + len(t.ins)
+	t.mergeBuf = slices.Grow(t.mergeBuf[:0], size)
+	t.ownerBuf = slices.Grow(t.ownerBuf[:0], size)
+	src, ni := 0, 0
+	for wi, w := range t.dead.Words() {
+		for w != 0 {
+			d := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			ni = t.emit(src, d, ni)
+			src = d + 1
+			t.dead.Clear(d)
+		}
+	}
+	t.emit(src, len(t.elems), ni)
+	t.elems, t.mergeBuf = t.mergeBuf, t.elems[:0]
+	t.owner, t.ownerBuf = t.ownerBuf, t.owner[:0]
+}
+
+// emit appends elems[src:end] to the merge output, interleaving the
+// staged values whose insertion position is in [src, end] (a value
+// placed at end goes before elems[end], which is dead or past the end),
+// and returns the index of the first staged value not yet emitted.
+func (t *Tracker[T]) emit(src, end, ni int) int {
+	for ; ni < len(t.ins) && int(t.insPos[ni]) <= end; ni++ {
+		p := int(t.insPos[ni])
+		t.copyRun(src, p)
+		src = p
+		e := t.ins[ni]
+		t.slot[e.k] = int32(len(t.mergeBuf))
+		t.mergeBuf = append(t.mergeBuf, e.v)
+		t.ownerBuf = append(t.ownerBuf, e.k)
+	}
+	t.copyRun(src, end)
+	return ni
+}
+
+// copyRun appends the live run elems[lo:hi] and its keys to the merge
+// output, rewriting slot only when the run moved.
+func (t *Tracker[T]) copyRun(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	at := len(t.mergeBuf)
+	t.mergeBuf = append(t.mergeBuf, t.elems[lo:hi]...)
+	t.ownerBuf = append(t.ownerBuf, t.owner[lo:hi]...)
+	if at != lo {
+		for j, k := range t.owner[lo:hi] {
+			t.slot[k] = int32(at + j)
+		}
+	}
+}
+
+// gallop returns the lower bound of (v, k) in the (cmp, key) order of
+// elems, given that it is at least from: it probes from, from+1, from+3,
+// from+7, … until it overshoots, then binary-searches the last gap. For
+// k sorted values placed left to right over n slots this costs
+// O(k log(n/k)) comparisons in all, against O(k log n) for k full-range
+// searches.
+//
+//det:hotpath
+func (t *Tracker[T]) gallop(from int, v T, k int32) int {
+	n := len(t.elems)
+	if from >= n || !t.before(from, v, k) {
+		return from
+	}
+	lo, hi := from, n // before(lo) holds; the bound is in (lo, hi]
+	for step := 1; ; step <<= 1 {
+		probe := lo + step
+		if probe >= n {
+			break
+		}
+		if !t.before(probe, v, k) {
+			hi = probe
+			break
+		}
+		lo = probe
+	}
+	lo++
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.before(mid, v, k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// before reports whether elems[j] precedes (v, k) in the (cmp, key) order.
+func (t *Tracker[T]) before(j int, v T, k int32) bool {
+	c := t.cmp(t.elems[j], v)
+	return c < 0 || c == 0 && t.owner[j] < k
+}
 
 // Merger performs repeated P-way multiset unions into reusable merge
 // buffers — the reduction step of a sharded state layout, where the

@@ -31,6 +31,7 @@ func ticks(d time.Duration) int64 {
 func (r *run[T]) worker(w int) {
 	rng := engine.NewFastRand(r.opts.Seed)
 	own := &r.shards[w]
+	events := 0
 	for {
 		if r.stop.Load() {
 			break
@@ -40,18 +41,85 @@ func (r *run[T]) worker(w int) {
 			continue
 		}
 		r.maybeCheckQuiescence()
+		if events%lagCheckEvery == 0 {
+			now := r.ops.Load()
+			own.seenAt.Store(now)
+			r.lag.wakeIfWaiting()
+			if r.lagging(w, now) {
+				r.waitForLaggard(w, own)
+				continue
+			}
+		}
 
 		a, ok := r.next(own, w)
 		if !ok {
 			r.sleep(own)
+			events = 0 // republish seenAt on the way back in
 			continue
 		}
 		r.process(a, rng)
+		events++
 	}
 	r.sp.mu.Lock()
 	r.sp.exited++
 	r.sp.cond.Broadcast()
 	r.sp.mu.Unlock()
+}
+
+// lagCheckEvery is how many events a worker runs between publishing its
+// seenAt and checking everyone else's: both touch lines other workers
+// write (the op counter, their seenAt), so they are amortised rather than
+// paid per event.
+const lagCheckEvery = 8
+
+// asleep is a worker's seenAt while it sleeps: it then holds no agent,
+// no deferral and no lock, so it cannot stall anyone. A waker that
+// clears sleeping also resets seenAt, so a woken worker that is slow to
+// run counts as awake.
+const asleep = math.MaxInt64
+
+// lagging reports whether, at op count now, another awake worker has not
+// come round its loop for more than maxLag initiations. Its seenAt is at
+// most lagCheckEvery of its own events old, and one event is short, so that
+// worker was descheduled — by the Go scheduler when workers outnumber
+// GOMAXPROCS, or by the OS — while it may hold what the rest of the
+// fleet needs: the agent of its current event, the deferrals only it
+// pops, the quiescence check. Left alone, the others would spend the
+// whole op budget gossiping around it. The caller waits instead of
+// initiating (waitForLaggard), so initiations run at most maxLag (plus
+// one check interval per worker) ahead of the slowest awake worker.
+func (r *run[T]) lagging(w int, now int64) bool {
+	for v := range r.shards {
+		if v != w && now-r.shards[v].seenAt.Load() > r.maxLag {
+			return true
+		}
+	}
+	return false
+}
+
+// waitForLaggard parks worker w until no other awake worker lags, the
+// run stops, or a safepoint is requested. Parking, not spinning, hands
+// the CPU to a laggard whose thread the OS descheduled. A parked worker
+// stays awake for everyone else's lag check — it still owns its heap —
+// so after every wake it republishes seenAt, and wakes the others if
+// that moved it. While every worker waits no initiation moves ops, so
+// the republished values settle, and then nobody lags.
+func (r *run[T]) waitForLaggard(w int, own *shard[T]) {
+	g := &r.lag
+	g.mu.Lock()
+	g.waiters.Add(1)
+	for !r.stop.Load() && !r.sp.want.Load() {
+		now := r.ops.Load()
+		if own.seenAt.Swap(now) != now {
+			g.cond.Broadcast()
+		}
+		if !r.lagging(w, now) {
+			break
+		}
+		g.cond.Wait()
+	}
+	g.waiters.Add(-1)
+	g.mu.Unlock()
 }
 
 // next claims one runnable agent for worker w, or reports none. Every
@@ -144,7 +212,9 @@ func (r *run[T]) sleep(own *shard[T]) {
 		return
 	}
 	own.sleeping = true
+	own.seenAt.Store(asleep)
 	own.mu.Unlock()
+	r.lag.wakeIfWaiting()
 
 	if r.stop.Load() || r.sp.want.Load() {
 		r.cancelSleep(own)
@@ -216,7 +286,10 @@ func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
 func (r *run[T]) unlockAndWake(sh *shard[T]) {
 	depth := sh.rqLen
 	wake := sh.sleeping
-	sh.sleeping = false
+	if wake {
+		sh.sleeping = false
+		sh.seenAt.Store(r.ops.Load())
+	}
 	sh.mu.Unlock()
 	if wake {
 		sh.signal()
@@ -229,7 +302,7 @@ func (r *run[T]) unlockAndWake(sh *shard[T]) {
 // stolen instead of waiting for its owner to come around.
 func (r *run[T]) wakeThief() {
 	for s := range r.shards {
-		if r.shards[s].wakeIfSleeping() {
+		if r.shards[s].wakeIfSleeping(r.ops.Load()) {
 			return
 		}
 	}
@@ -391,7 +464,11 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (schedEvent, int64) {
 		r.budgetOut.Store(true)
 		return evPark, 0
 	}
-	r.advance(n)
+	// One tick per initiation, on top of any fast-forward: a clock that
+	// only followed ops would stop once a fast-forward put it ahead, and
+	// the deferrals due just after it would wait for a worker idle
+	// enough to fast-forward while busy agents spend the budget.
+	r.vnow.Add(1)
 	if r.ap != nil && n >= r.nextEpochAt.Load() {
 		// Crossing an epoch boundary requests a safepoint; whichever
 		// worker reaches the barrier first conducts it.
@@ -492,11 +569,13 @@ func (r *run[T]) barrier() {
 		return
 	}
 	sp.conducting = true
-	// Wake sleepers so they come park; a worker about to sleep re-checks
-	// sp.want after publishing sleeping, so none can miss this.
+	// Wake sleepers and lag waiters so they come park; a worker about to
+	// sleep re-checks sp.want after publishing sleeping, and a lag waiter
+	// re-checks it under the gate lock, so none can miss this.
 	for s := range r.shards {
-		r.shards[s].wakeIfSleeping()
+		r.shards[s].wakeIfSleeping(r.ops.Load())
 	}
+	r.lag.broadcast()
 	for sp.parked+sp.exited < len(r.shards)-1 && !r.stop.Load() {
 		sp.cond.Wait()
 	}

@@ -308,8 +308,8 @@ type run[T any] struct {
 	es env.State
 
 	// Virtual time and budget: ops is the global initiation counter and
-	// vnow the virtual clock. vnow advances with ops AND with
-	// fast-forwarded deferrals — without the latter, a moment where every
+	// vnow the virtual clock. vnow ticks once per initiation AND jumps to
+	// fast-forwarded deferrals — without the jumps, a moment where every
 	// agent is deferred (a busy storm, an all-delayed epoch) would freeze
 	// the clock the deferrals are waiting on: nobody initiates, ops never
 	// moves, the system spins until the wall-clock net. vnow ≥ ops always.
@@ -324,6 +324,13 @@ type run[T any] struct {
 	// run stopped for that reason.
 	runnable atomic.Int64
 	drained  atomic.Bool
+
+	// maxLag = max(64·P, N) is how many initiations the fleet may run
+	// while one awake worker has not come round its loop before the
+	// others stop initiating and wait for it (see lagging): about one
+	// round of initiations.
+	maxLag int64
+	lag    lagGate
 
 	properSteps atomic.Int64
 	rejections  atomic.Int64
@@ -360,6 +367,35 @@ type safepoint struct {
 	exited     int
 }
 
+// lagGate parks workers while another worker lags (see lagging). A
+// worker that publishes a new seenAt, or goes to sleep, then loads
+// waiters; a waiter adds itself to waiters, then re-checks lagging under
+// mu. Both sides are sequentially consistent atomics, so either the
+// publisher sees the waiter and wakes it under mu, or the waiter sees the
+// new seenAt and does not wait.
+type lagGate struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	waiters atomic.Int32
+}
+
+// wakeIfWaiting wakes every lag waiter, if any, after the caller
+// published a new seenAt.
+//
+//det:hotpath
+func (g *lagGate) wakeIfWaiting() {
+	if g.waiters.Load() > 0 {
+		g.broadcast()
+	}
+}
+
+// broadcast wakes every lag waiter to re-check.
+func (g *lagGate) broadcast() {
+	g.mu.Lock()
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
 // setup builds every run structure for the founding population.
 func (r *run[T]) setup(n int) {
 	P := r.opts.Workers
@@ -370,6 +406,7 @@ func (r *run[T]) setup(n int) {
 	r.state = make([]agentState, n)
 	r.gen = make([]uint32, n)
 	r.checkEvery = int64(max(64, n/2))
+	r.maxLag = int64(max(64*P, n))
 	r.seedBase = make([]int64, n)
 	r.eventSeq = make([]uint32, n)
 	r.awaiting = make([]bool, n)
@@ -401,6 +438,7 @@ func (r *run[T]) setup(n int) {
 	}
 	r.buildMailboxes()
 	r.sp.cond = sync.NewCond(&r.sp.mu)
+	r.lag.cond = sync.NewCond(&r.lag.mu)
 	r.nextEpochAt.Store(int64(r.opts.OpsPerEpoch))
 	// Seed the adoption cursor one behind so the first rate-limit window
 	// always produces a check even if no agent ever adopts (an initial
@@ -525,11 +563,12 @@ func (r *run[T]) home(a int32) *shard[T] {
 func (r *run[T]) halt() {
 	r.stop.Store(true)
 	for s := range r.shards {
-		r.shards[s].wakeIfSleeping()
+		r.shards[s].wakeIfSleeping(r.ops.Load())
 	}
 	r.sp.mu.Lock()
 	r.sp.cond.Broadcast()
 	r.sp.mu.Unlock()
+	r.lag.broadcast()
 }
 
 // audit checks the scheduler's own bookkeeping once every worker has

@@ -1,6 +1,9 @@
 package sched
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // agentState is an agent's scheduling state, protected by the agent's
 // HOME shard lock. An agent's home shard never changes (joiners home on
@@ -138,6 +141,15 @@ type shard[T any] struct {
 	// cleared by the waker before the (capacity-1) send.
 	sleeping bool
 	wake     chan struct{}
+
+	// seenAt is the op count when the worker last came round its loop
+	// (published every lagCheckEvery events), or asleep; other workers
+	// read it to bound how far initiations run ahead of a descheduled
+	// worker (see lagging). It fills a 64-byte line of its own after the
+	// 128 bytes above, so publishing it never contends with this shard's
+	// or the next shard's lock (TestShardLayout pins the 192 bytes).
+	seenAt atomic.Int64
+	_      [56]byte
 }
 
 // rqPush appends a to the run queue. Caller holds mu.
@@ -230,11 +242,14 @@ func (s *shard[T]) heapPop() deferEntry {
 }
 
 // wakeIfSleeping wakes the shard's worker if it is asleep, reporting
-// whether it was.
-func (s *shard[T]) wakeIfSleeping() bool {
+// whether it was; the woken worker counts as seen at op now.
+func (s *shard[T]) wakeIfSleeping(now int64) bool {
 	s.mu.Lock()
 	wake := s.sleeping
-	s.sleeping = false
+	if wake {
+		s.sleeping = false
+		s.seenAt.Store(now)
+	}
 	s.mu.Unlock()
 	if wake {
 		s.signal()

@@ -99,9 +99,10 @@ const DefaultParallelThreshold = 32
 
 // DefaultShardThreshold is the agent count at which Options.Shards == 0
 // switches the engine to the sharded state layout (GOMAXPROCS shards).
-// Below it the single-tracker layout is cheaper: the per-group
-// incremental repair already costs O(n) and sharding would only add merge
-// overhead. Results are bit-identical in both layouts.
+// Below it the single-tracker layout is cheaper: each changed group's
+// keyed repair is one O(n) merge pass over an array small enough to stay
+// in cache, and sharding would only add the per-round P-way view merge.
+// Results are bit-identical in both layouts.
 const DefaultShardThreshold = 1 << 14
 
 // DefaultMatchBlockAgents is the agent-block size of the pairwise
@@ -327,13 +328,15 @@ type runner[T any] struct {
 	// Membership state, populated only when the schedule joins agents or
 	// wakes them amnesiacally: the full initial-state array (founding
 	// population followed by joiners in join order — joiner values and
-	// amnesiac resets both read it positionally), the growth-touched id
-	// scratch folded into the round's changed-id stream, and the
-	// amnesiac-reset repair batch.
+	// amnesiac resets both read it positionally) and the growth-touched id
+	// scratch folded into the round's changed-id stream.
 	initVals     []T
 	growE, growA []int
-	amOlds       []T
-	amNews       []T
+
+	// Keyed repair batch for the single-tracker layout (a group step's or
+	// an amnesiac wake's changed agents, with their old and new values).
+	repKeys          []int
+	repOlds, repNews []T
 }
 
 // matcherKey identifies a cached PairMatcher: the matching it draws is a
@@ -813,26 +816,30 @@ func (r *runner[T]) snapshotGen() uint64 {
 }
 
 // applyDelta repairs the incremental snapshot after a group step (olds
-// and news are parallel slices along members). The single-tracker layout
-// repairs immediately, and only when the GROUP multiset changed — the
-// caller's `changed` — because a multiset-preserving permutation of the
-// group leaves the global multiset intact. The sharded layout must be
-// called for every executed step regardless: a permutation that crosses
-// shard boundaries (a swap stutter) changes the per-shard multisets even
-// though the group multiset is unchanged, so each member whose own value
-// changed is staged with its owning shard.
-func (r *runner[T]) applyDelta(members []int, olds, news []T, changed bool) {
-	if r.shards == nil {
-		if changed {
-			r.tracker.Replace(olds, news)
+// and news are parallel slices along members). The snapshot is keyed by
+// agent, so every member whose own value changed is repaired — including
+// a swap stutter, which leaves the group multiset intact but moves values
+// between agents (and, in the sharded layout, between shards). The
+// single-tracker layout repairs immediately; the sharded layout stages
+// each change with its owning shard for the round's Flush.
+func (r *runner[T]) applyDelta(members []int, olds, news []T) {
+	if r.shards != nil {
+		for i, a := range members {
+			if r.cmp(olds[i], news[i]) != 0 {
+				r.shards.Stage(a, olds[i], news[i])
+			}
 		}
 		return
 	}
+	r.repKeys, r.repOlds, r.repNews = r.repKeys[:0], r.repOlds[:0], r.repNews[:0]
 	for i, a := range members {
 		if r.cmp(olds[i], news[i]) != 0 {
-			r.shards.Stage(a, olds[i], news[i])
+			r.repKeys = append(r.repKeys, a)
+			r.repOlds = append(r.repOlds, olds[i])
+			r.repNews = append(r.repNews, news[i])
 		}
 	}
+	r.tracker.Repair(r.repKeys, r.repOlds, r.repNews)
 }
 
 // applyGrowth threads one round's population growth through every layer
@@ -883,68 +890,58 @@ func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
 // and repairs the incremental snapshot accordingly. The sharded layout
 // stages and flushes immediately so the round's own group steps still
 // stage each agent at most once per flush; the single-tracker layout
-// batches one Replace. The variant baseline is rebased because the reset
+// batches one Repair. The variant baseline is rebased because the reset
 // is a sanctioned discontinuity — the conservation law is deliberately
 // NOT touched, so the monitor reports exactly the violations §3.4
 // predicts for non-super-idempotent f.
 func (r *runner[T]) applyAmnesia(woken []int) {
-	r.amOlds, r.amNews = r.amOlds[:0], r.amNews[:0]
-	changed := false
+	r.repKeys, r.repOlds, r.repNews = r.repKeys[:0], r.repOlds[:0], r.repNews[:0]
 	for _, a := range woken {
 		if r.cmp(r.states[a], r.initVals[a]) == 0 {
 			continue // the frozen state IS the initial state: nothing to repair
 		}
-		changed = true
-		if r.shards != nil {
-			r.shards.Stage(a, r.states[a], r.initVals[a])
-		} else {
-			r.amOlds = append(r.amOlds, r.states[a])
-			r.amNews = append(r.amNews, r.initVals[a])
-		}
+		r.repKeys = append(r.repKeys, a)
+		r.repOlds = append(r.repOlds, r.states[a])
+		r.repNews = append(r.repNews, r.initVals[a])
 		r.states[a] = r.initVals[a]
 	}
-	if !changed {
+	if len(r.repKeys) == 0 {
 		return
 	}
 	if r.shards != nil {
+		for i, a := range r.repKeys {
+			r.shards.Stage(a, r.repOlds[i], r.repNews[i])
+		}
 		r.shards.Flush(r.pool)
 	} else {
-		r.tracker.Replace(r.amOlds, r.amNews)
+		r.tracker.Repair(r.repKeys, r.repOlds, r.repNews)
 	}
 	r.mon.RebaseVariant(r.snapshot())
 }
 
-// classifyStep compares a group's before and after states as multisets.
-// proper reports a change under the problem's equality (tolerance-aware
-// for geometry) — these count as group steps; changed reports any change
-// under the total order cmp — these must repair the incremental snapshot
-// even when tolerance calls them stutters, because the positional states
-// did change. It sorts scratch copies and compares zero-copy views, so the
-// hot path allocates nothing.
-func (r *runner[T]) classifyStep(before, after []T) (proper, changed bool) {
+// classifyStep reports whether a group step is proper: whether its
+// before and after states differ as multisets under the problem's
+// equality (tolerance-aware for geometry). Proper steps count as group
+// steps; the snapshot repair is decided per member by applyDelta, since
+// even a tolerance stutter changes positional states. It sorts scratch
+// copies and compares zero-copy views, so the hot path allocates nothing.
+func (r *runner[T]) classifyStep(before, after []T) (proper bool) {
 	r.sortA = append(r.sortA[:0], before...)
 	r.sortB = append(r.sortB[:0], after...)
 	slices.SortFunc(r.sortA, r.cmp)
 	slices.SortFunc(r.sortB, r.cmp)
-	for i := range r.sortA {
-		if r.cmp(r.sortA[i], r.sortB[i]) != 0 {
-			changed = true
-			break
-		}
-	}
-	proper = !r.p.Equal(ms.View(r.cmp, r.sortA), ms.View(r.cmp, r.sortB))
-	return proper, changed
+	return !r.p.Equal(ms.View(r.cmp, r.sortA), ms.View(r.cmp, r.sortB))
 }
 
 // classifyPair is classifyStep for a two-member group. Sorting two values
 // is one comparison: slices.SortFunc's insertion sort swaps them exactly
 // when cmp(second, first) < 0, so ordering the old and the new pair that
-// way yields the very sorted views classifyStep builds, and proper and
-// changed are judged on them the same way — without the scratch copies
-// and the two generic sort calls that dominated the pairwise group step.
+// way yields the very sorted views classifyStep builds, and proper is
+// judged on them the same way — without the scratch copies and the two
+// generic sort calls that dominated the pairwise group step.
 //
 //det:hotpath
-func (r *runner[T]) classifyPair(oldA, oldB, newA, newB T) (proper, changed bool) {
+func (r *runner[T]) classifyPair(oldA, oldB, newA, newB T) (proper bool) {
 	o, n := &r.pairSortOld, &r.pairSortNew
 	o[0], o[1] = oldA, oldB
 	if r.cmp(oldB, oldA) < 0 {
@@ -954,9 +951,7 @@ func (r *runner[T]) classifyPair(oldA, oldB, newA, newB T) (proper, changed bool
 	if r.cmp(newB, newA) < 0 {
 		n[0], n[1] = newB, newA
 	}
-	changed = r.cmp(o[0], n[0]) != 0 || r.cmp(o[1], n[1]) != 0
-	proper = !r.p.Equal(ms.View(r.cmp, o[:]), ms.View(r.cmp, n[:]))
-	return proper, changed
+	return !r.p.Equal(ms.View(r.cmp, o[:]), ms.View(r.cmp, n[:]))
 }
 
 // stepComponents runs one ComponentMode round: every connected component
@@ -1016,12 +1011,11 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 				r.mon.AddViolation("group %v: %v", j.members, v)
 			}
 		}
-		proper, changed := r.classifyStep(j.before, j.after)
-		if proper {
+		if r.classifyStep(j.before, j.after) {
 			r.res.GroupSteps++
 			r.res.Messages += 2 * (len(j.members) - 1)
 		}
-		r.applyDelta(j.members, j.before, j.after, changed)
+		r.applyDelta(j.members, j.before, j.after)
 		for idx, a := range j.members {
 			r.states[a] = j.after[idx]
 		}
@@ -1078,12 +1072,11 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 		r.pairOld[0], r.pairOld[1] = j.oldA, j.oldB
 		r.pairNew[0], r.pairNew[1] = j.newA, j.newB
 		r.pairMembers[0], r.pairMembers[1] = j.a, j.b
-		proper, changed := r.classifyPair(j.oldA, j.oldB, j.newA, j.newB)
-		if proper {
+		if r.classifyPair(j.oldA, j.oldB, j.newA, j.newB) {
 			r.res.GroupSteps++
 			r.res.Messages += 2
 		}
-		r.applyDelta(r.pairMembers[:], r.pairOld[:], r.pairNew[:], changed)
+		r.applyDelta(r.pairMembers[:], r.pairOld[:], r.pairNew[:])
 		r.states[j.a], r.states[j.b] = j.newA, j.newB
 	}
 	r.obs.End(obs.PhaseGroupStep)

@@ -94,11 +94,11 @@ func TestCachedVerdictMatchesFullMonitor(t *testing.T) {
 
 // TestClassifyPairMatchesClassifyStep is the property behind the pair
 // classifier: on random pairs, one comparison per side yields exactly
-// the (proper, changed) of the general sort-and-compare classifyStep.
+// the verdict of the general sort-and-compare classifyStep.
 // Values are drawn from a tiny range so equal values and swap stutters —
 // the step a pair straddling a shard boundary takes in swapMin — are
 // frequent, for int under exact equality and for Average's float
-// tolerance, where a nudge below Tol is changed but not proper.
+// tolerance, where a nudge below Tol is a stutter.
 func TestClassifyPairMatchesClassifyStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ri := &runner[int]{p: problems.NewMin(), cmp: problems.NewMin().Cmp()}
@@ -135,10 +135,7 @@ func TestClassifyPairMatchesClassifyStep(t *testing.T) {
 
 func checkClassifyPair[T any](t *testing.T, r *runner[T], a, b, na, nb T) {
 	t.Helper()
-	proper, changed := r.classifyPair(a, b, na, nb)
-	wantProper, wantChanged := r.classifyStep([]T{a, b}, []T{na, nb})
-	if proper != wantProper || changed != wantChanged {
-		t.Fatalf("(%v,%v)→(%v,%v): classifyPair = (%v,%v), classifyStep = (%v,%v)",
-			a, b, na, nb, proper, changed, wantProper, wantChanged)
+	if got, want := r.classifyPair(a, b, na, nb), r.classifyStep([]T{a, b}, []T{na, nb}); got != want {
+		t.Fatalf("(%v,%v)→(%v,%v): classifyPair = %v, classifyStep = %v", a, b, na, nb, got, want)
 	}
 }

@@ -74,6 +74,16 @@
 # that and below 99 + 64, so a regression that allocates even once per
 # round fails loudly.
 #
+# BenchmarkSimPairwiseAverageWrites1e5 is the write-heavy twin: pairwise
+# Average from random values on the same ring, 4 state shards, 16 rounds
+# per op on a warm scratch. Nearly every matched pair writes, so every
+# round stages ~5*10^4 keyed deltas, repairs every shard's tracker (sort
+# of the new values, galloping placement, merge pass) and recomputes the
+# monitor verdict. The fixed seed measures 127-128 allocs/op at
+# GOMAXPROCS 1, 2 and 4 — per-run bookkeeping only. The budget of 140 sits
+# below 127 + 16, so a repair or monitor that re-pays a scratch buffer
+# even once per round fails loudly.
+#
 # BenchmarkSchedExchange1e4 pins the sharded actor scheduler's
 # per-exchange allocation contract: an 8192-agent hypercube min cell with
 # a 60·N (~500k) initiation budget runs to convergence in ~73 allocs/op —
@@ -89,7 +99,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkAsyncRuntimeMin$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSimPairwiseQuiescent1e5$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
+out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkAsyncRuntimeMin$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSimPairwiseQuiescent1e5$|BenchmarkSimPairwiseAverageWrites1e5$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
 echo "$out"
 
 fail=0
@@ -128,5 +138,6 @@ check BenchmarkSimPairwiseDelta1e5 400
 check BenchmarkJoinSplice 400
 check BenchmarkSimRoundProbed 400
 check BenchmarkSimPairwiseQuiescent1e5 140
+check BenchmarkSimPairwiseAverageWrites1e5 140
 check BenchmarkSchedExchange1e4 400
 exit $fail
